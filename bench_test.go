@@ -454,7 +454,9 @@ func BenchmarkVectorScan(b *testing.B) {
 // runs the analyzed plan — block skipping + residual filter + field-pruned
 // decode on the original file; "full" is the same job with optimization
 // disabled (every block read, every field decoded, every row through the
-// interpreter). The ratio is the benefit at BENCH_scanprune.json.
+// interpreter). The ratio is the benefit at BENCH_scanprune.json. The
+// result cache is off on both arms: from the second iteration on it would
+// otherwise serve the identical submission without running it.
 func BenchmarkSelectiveScan(b *testing.B) {
 	dir := b.TempDir()
 	data := filepath.Join(dir, "uservisits.rec")
@@ -483,7 +485,7 @@ func Map(k, v *Record, ctx *Ctx) {
 	}
 	for _, mode := range []string{"pruned", "full"} {
 		b.Run(mode, func(b *testing.B) {
-			sys, err := manimal.NewSystem(filepath.Join(b.TempDir(), "sys"))
+			sys, err := manimal.NewSystemWith(filepath.Join(b.TempDir(), "sys"), manimal.Options{DisableResultCache: true})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,9 +11,10 @@
 // Each baseline file's "benchmarks" object maps a fully-qualified
 // benchmark name (as printed by the testing package, minus the -N GOMAXPROCS
 // suffix) to a history of entries; the LAST entry's ns_per_op is the
-// committed baseline. Benchmarks present in only one side are reported but
-// do not fail the run (new benchmarks land before their baseline, and
-// baselines may track benchmarks a partial run did not execute).
+// committed baseline. A baselined benchmark missing from the run FAILS it:
+// a benchmark that errored out or was dropped from the run is a gate that
+// can no longer fail. Benchmarks without a baseline are reported only (new
+// benchmarks land before their baseline).
 package main
 
 import (
@@ -65,7 +66,8 @@ func main() {
 	for _, name := range names {
 		samples, ok := measured[name]
 		if !ok {
-			fmt.Printf("SKIP %-55s not in this run\n", name)
+			fmt.Printf("FAIL %-55s not in this run\n", name)
+			failed = true
 			continue
 		}
 		med := median(samples)
@@ -85,7 +87,7 @@ func main() {
 		}
 	}
 	if failed {
-		fmt.Printf("benchcheck: regression beyond %.0f%% detected\n", *maxRegress)
+		fmt.Printf("benchcheck: missing baseline benchmark or regression beyond %.0f%% detected\n", *maxRegress)
 		os.Exit(1)
 	}
 }

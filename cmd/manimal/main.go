@@ -410,13 +410,6 @@ func cmdRun(args []string) error {
 		if len(ir.Plan.Applied) > 0 {
 			fmt.Printf(" %v", ir.Plan.Applied)
 		}
-		if ir.Plan.Kind != manimal.PlanBTree {
-			if ir.Plan.Vectorized {
-				fmt.Print(" scan=vectorized")
-			} else {
-				fmt.Print(" scan=rows")
-			}
-		}
 		fmt.Println()
 		if *explain {
 			for _, note := range ir.Plan.Notes {

@@ -8,6 +8,7 @@ import (
 	"manimal"
 	"manimal/internal/mapreduce"
 	"manimal/internal/programs"
+	"manimal/internal/storage"
 	"manimal/internal/workload"
 )
 
@@ -241,11 +242,12 @@ func Reduce(key Datum, values *Iter, ctx *Ctx) {
 }
 
 // TestDifferentialVectorizedScan is the batch pipeline's end-to-end gate:
-// the default (vectorized) run, the MANIMAL_ROWSCAN=1 row-at-a-time run,
-// and the -noopt baseline must produce byte-identical output — and the
-// vectorized and row paths must report IDENTICAL pruning counters (blocks
-// read/skipped, rows prefiltered), since both flush per block over the
-// same plan.
+// the default run (zone-map skips, vectorized residual filter, field mask)
+// must produce byte-identical output to the -noopt baseline, and its
+// pruning counters must equal values computed outside the scan path:
+// blocks skipped from Reader.SkippableBlocks over the plan's filter, map
+// input records from the program's predicate evaluated in plain Go over
+// the input, and rows prefiltered as the rest of the blocks read.
 func TestDifferentialVectorizedScan(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "uservisits.rec")
@@ -274,7 +276,8 @@ func Reduce(key Datum, values *Iter, ctx *Ctx) {
 	ctx.Emit(key, sum)
 }
 `)
-	conf := manimal.Conf{"lo": manimal.Int(1_200_030_000), "hi": manimal.Int(1_200_033_000)}
+	const lo, hi = 1_200_030_000, 1_200_033_000
+	conf := manimal.Conf{"lo": manimal.Int(lo), "hi": manimal.Int(hi)}
 	run := func(name string, noopt bool) ([]mapreduce.KVPair, *manimal.JobReport) {
 		spec := manimal.JobSpec{
 			Name:                name,
@@ -291,33 +294,48 @@ func Reduce(key Datum, values *Iter, ctx *Ctx) {
 		t.Fatal("baseline produced no output")
 	}
 	vec, vecReport := run("vec-batch", false)
-	if !vecReport.Inputs[0].Plan.Vectorized {
-		t.Fatalf("default plan not vectorized: %+v", vecReport.Inputs[0].Plan)
+	pd := vecReport.Inputs[0].Plan.Pushdown
+	if pd == nil || pd.Filter == nil || !pd.Residual || pd.Fields == nil {
+		t.Fatalf("default plan lacks a residual filter and field mask: %+v", vecReport.Inputs[0].Plan)
 	}
 
-	t.Setenv("MANIMAL_ROWSCAN", "1")
-	rows, rowReport := run("vec-rows", false)
-	if rowReport.Inputs[0].Plan.Vectorized {
-		t.Fatalf("MANIMAL_ROWSCAN=1 plan still vectorized: %+v", rowReport.Inputs[0].Plan)
+	// Independent expectations.
+	r, err := storage.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	skipMask, skipped := r.SkippableBlocks(pd.Filter)
+	var inReadBlocks int64
+	for b, skip := range skipMask {
+		if !skip {
+			inReadBlocks += r.RecordsInBlocks(b, b+1)
+		}
+	}
+	recs, _, err := storage.ReadAll(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var matching int64
+	for _, rec := range recs {
+		if d := rec.Get("visitDate").I; d >= lo && d < hi {
+			matching++
+		}
+	}
+	want := map[string]int64{
+		mapreduce.CtrBlocksSkipped: int64(skipped),
+		mapreduce.CtrBlocksRead:    int64(r.NumBlocks() - skipped),
+		"map.input.records":        matching,
+		mapreduce.CtrRowsFiltered:  inReadBlocks - matching,
+	}
+	for name, w := range want {
+		if got := vecReport.Result.Counters.Get(name); got != w {
+			t.Errorf("counter %s = %d, want %d", name, got, w)
+		}
 	}
 
 	if !reflect.DeepEqual(noopt, vec) {
 		t.Fatalf("vectorized output differs from -noopt baseline: %d vs %d pairs", len(vec), len(noopt))
-	}
-	if !reflect.DeepEqual(vec, rows) {
-		t.Fatalf("vectorized output differs from MANIMAL_ROWSCAN=1: %d vs %d pairs", len(vec), len(rows))
-	}
-	for _, name := range []string{
-		mapreduce.CtrBlocksRead,
-		mapreduce.CtrBlocksSkipped,
-		mapreduce.CtrRowsFiltered,
-		"map.input.records",
-	} {
-		v := vecReport.Result.Counters.Get(name)
-		r := rowReport.Result.Counters.Get(name)
-		if v != r {
-			t.Errorf("counter %s: vectorized %d != row %d", name, v, r)
-		}
 	}
 	if vecReport.Result.Counters.Get(mapreduce.CtrBlocksSkipped) == 0 {
 		t.Fatal("vectorized run skipped no blocks")

@@ -25,8 +25,8 @@ func NewDictionary() *Dictionary {
 
 // Encode returns the code for s, assigning the next code on first sight.
 // A newly seen term is cloned before it is stored: callers routinely pass
-// strings that alias a reused scan buffer (storage.Scanner's shared-decode
-// records), which would otherwise mutate under the dictionary.
+// strings that alias a reused scan buffer (storage.Scanner's records),
+// which would otherwise mutate under the dictionary.
 func (d *Dictionary) Encode(s string) uint64 {
 	if c, ok := d.codes[s]; ok {
 		return c
@@ -82,7 +82,7 @@ func DecodeDictionary(buf []byte) (*Dictionary, int, error) {
 			return nil, 0, fmt.Errorf("compress: truncated dictionary term %d", i)
 		}
 		pos += used
-		if pos+int(l) > len(buf) {
+		if l > uint64(len(buf)-pos) {
 			return nil, 0, fmt.Errorf("compress: truncated dictionary term body %d", i)
 		}
 		d.Encode(string(buf[pos : pos+int(l)]))

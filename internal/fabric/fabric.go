@@ -30,13 +30,6 @@ func (m *interpMapper) Map(k serde.Datum, rec *serde.Record, ctx *interp.Context
 	return m.ex.InvokeMap(k, rec, ctx)
 }
 
-// MapBatch implements mapreduce.BatchMapper: selected rows late-materialize
-// into one reused record and run through the same compiled map path, with
-// keys identical to the row-at-a-time scan's record indices.
-func (m *interpMapper) MapBatch(b *serde.Batch, ctx *interp.Context) error {
-	return m.ex.InvokeMapBatch(b, ctx)
-}
-
 // MapperFactory builds per-task interpreted mappers for the program. Each
 // task gets its own executor, so package-level variables behave like
 // per-task Java member variables — and each executor compiles the program
@@ -111,16 +104,14 @@ func (IdentityReducer) Reduce(key serde.Datum, values interp.ValueIter, ctx *int
 	return nil
 }
 
-// InputForPlan opens the physical input chosen by the optimizer. Record-file
-// inputs additionally carry the plan's execution strategy: Vectorized plans
-// scan batch-at-a-time (on columnar files; earlier formats serve rows).
+// InputForPlan opens the physical input chosen by the optimizer.
 func InputForPlan(plan *optimizer.Plan) (mapreduce.Input, error) {
 	return InputForPlanShared(plan, nil)
 }
 
 // InputForPlanShared is InputForPlan with a scan-sharing registry: plans
 // marked SharedScan get it installed on their record-file input, so the
-// execution's batch scans can ride shared physical scans with other
+// execution's scans can ride shared physical scans with other
 // in-flight jobs of the same System. A nil registry (or an unmarked plan)
 // scans privately.
 func InputForPlanShared(plan *optimizer.Plan, share *storage.ScanShare) (mapreduce.Input, error) {
@@ -130,7 +121,6 @@ func InputForPlanShared(plan *optimizer.Plan, share *storage.ScanShare) (mapredu
 		if err != nil {
 			return nil, err
 		}
-		in.SetBatch(plan.Vectorized)
 		if plan.SharedScan {
 			in.SetShare(share)
 		}
@@ -140,7 +130,6 @@ func InputForPlanShared(plan *optimizer.Plan, share *storage.ScanShare) (mapredu
 		if err != nil {
 			return nil, err
 		}
-		in.SetBatch(plan.Vectorized)
 		if plan.SharedScan {
 			in.SetShare(share)
 		}

@@ -26,13 +26,11 @@
 //
 // # Batch entry point
 //
-// Executor.InvokeMapBatch (batch.go) is the vectorized scan pipeline's
-// door into the interpreter: it late-materializes each selected row of a
-// serde.Batch into one executor-owned record and runs the same InvokeMap
-// per row, keyed by Batch.Base()+row. It is observably identical to the
-// row-at-a-time path over the same rows — same keys, values, and emission
-// order — with MANIMAL_ROWSCAN=1 forcing the row path as the differential
-// oracle (mirroring MANIMAL_TREEWALK).
+// Executor.InvokeMapBatch (batch.go) runs Map over a whole serde.Batch: it
+// late-materializes each selected row into one executor-owned record and
+// runs the same InvokeMap per row, keyed by Batch.Base()+row — the same
+// rows, keys, values and emission order a storage.Scanner over the batch
+// would hand InvokeMap one at a time.
 package interp
 
 import (

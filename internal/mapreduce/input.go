@@ -32,26 +32,6 @@ type Split interface {
 	Open() (RecordIter, error)
 }
 
-// BatchSplit is optionally implemented by splits that can serve decoded
-// column-vector batches instead of one record at a time. OpenBatch returns
-// (nil, nil) when the split cannot (or was not configured to) run in batch
-// mode — the engine then falls back to Open's row iterator. The two modes
-// are equivalent by contract: same records, same keys, same counters.
-type BatchSplit interface {
-	OpenBatch() (BatchIter, error)
-}
-
-// BatchIter iterates a split block-batch-wise. The batch (and everything
-// borrowed from it: column slices, selection vector, string/bytes values)
-// is reused across iterations — valid only until the next NextBatch — per
-// the package's buffer-ownership contract.
-type BatchIter interface {
-	NextBatch() bool
-	Batch() *serde.Batch
-	Err() error
-	Close() error
-}
-
 // RecordIter iterates a split's records. Implementations may reuse the
 // record across iterations: Record() is valid only until the next call to
 // Next(), and callers that retain it must Clone() it (see the package
@@ -70,17 +50,10 @@ type RecordIter interface {
 type FileInput struct {
 	r     *storage.Reader
 	pd    *storage.Pushdown
-	batch bool
 	share *storage.ScanShare
 }
 
-// SetBatch turns batch (vectorized) scanning on or off for splits produced
-// after the call. Batch mode requires a columnar (format v4) file; on
-// earlier formats the splits transparently serve rows. The planner owns
-// the choice (optimizer.Plan.Vectorized, MANIMAL_ROWSCAN=1 forces rows).
-func (f *FileInput) SetBatch(on bool) { f.batch = on }
-
-// SetShare installs a scan-sharing registry consulted by batch-mode splits:
+// SetShare installs a scan-sharing registry consulted by the input's splits:
 // a split whose file and block range match another in-flight subscribed
 // scan (typically the same split of an identical concurrent job) rides one
 // shared physical scan instead of decoding privately (see
@@ -170,7 +143,7 @@ func (f *FileInput) Splits(target int) ([]Split, error) {
 		// blocks are skipped (and counted) by the scanner itself.
 		lo, hi := chunk[0], chunk[len(chunk)-1]+1
 		covered += hi - lo
-		out = append(out, &fileSplit{r: f.r, lo: lo, hi: hi, pd: f.pd, batch: f.batch, share: f.share})
+		out = append(out, &fileSplit{r: f.r, lo: lo, hi: hi, pd: f.pd, share: f.share})
 	}
 	// Blocks outside every split never reach a scanner; count them here so
 	// blocks read + skipped always totals the blocks planned over.
@@ -182,57 +155,24 @@ type fileSplit struct {
 	r      *storage.Reader
 	lo, hi int
 	pd     *storage.Pushdown
-	batch  bool
 	share  *storage.ScanShare
 }
 
+// Open scans the split's block range. With a share registry installed the
+// scan first tries to subscribe to (or found) a shared physical scan of the
+// same range; subscription can be refused (e.g. an existing group too far
+// ahead), in which case the split scans privately. Either way the records
+// come from the same batch decoder, through the storage row cursor.
 func (s *fileSplit) Open() (RecordIter, error) {
+	if m, ok := s.share.Subscribe(s.r, s.lo, s.hi, s.pd); ok {
+		return &fileIter{sc: m.Rows()}, nil
+	}
 	sc, err := s.r.ScanPushdown(s.lo, s.hi, s.pd)
 	if err != nil {
 		return nil, err
 	}
 	return &fileIter{sc: sc}, nil
 }
-
-// OpenBatch implements BatchSplit: a vectorized scan over the split's block
-// range, or (nil, nil) when the split is in row mode or the file predates
-// the columnar format. With a share registry installed the scan first tries
-// to subscribe to (or found) a shared physical scan of the same range;
-// subscription can be refused (e.g. an existing group too far ahead), in
-// which case the split scans privately as before.
-func (s *fileSplit) OpenBatch() (BatchIter, error) {
-	if !s.batch || s.r.FormatVersion() < 4 {
-		return nil, nil
-	}
-	if s.share != nil {
-		if m, ok := s.share.Subscribe(s.r, s.lo, s.hi, s.pd); ok {
-			return &sharedBatchIter{m: m}, nil
-		}
-	}
-	sc, err := s.r.ScanBatch(s.lo, s.hi, s.pd)
-	if err != nil {
-		return nil, err
-	}
-	return &fileBatchIter{sc: sc}, nil
-}
-
-type sharedBatchIter struct {
-	m *storage.SharedScanner
-}
-
-func (it *sharedBatchIter) NextBatch() bool     { return it.m.Next() }
-func (it *sharedBatchIter) Batch() *serde.Batch { return it.m.Batch() }
-func (it *sharedBatchIter) Err() error          { return it.m.Err() }
-func (it *sharedBatchIter) Close() error        { return it.m.Close() }
-
-type fileBatchIter struct {
-	sc *storage.BatchScanner
-}
-
-func (it *fileBatchIter) NextBatch() bool     { return it.sc.Next() }
-func (it *fileBatchIter) Batch() *serde.Batch { return it.sc.Batch() }
-func (it *fileBatchIter) Err() error          { return it.sc.Err() }
-func (it *fileBatchIter) Close() error        { return nil }
 
 type fileIter struct {
 	sc *storage.Scanner
@@ -246,7 +186,7 @@ func (it *fileIter) Next() bool { return it.sc.Next() }
 func (it *fileIter) Key() serde.Datum      { return serde.Int(it.sc.RecordIndex()) }
 func (it *fileIter) Record() *serde.Record { return it.sc.Record() }
 func (it *fileIter) Err() error            { return it.sc.Err() }
-func (it *fileIter) Close() error          { return nil }
+func (it *fileIter) Close() error          { return it.sc.Close() }
 
 // IndexedInput scans only the relevant key ranges of a B+Tree selection
 // index (paper Section 2.1: "use the index to skip map invocations that do

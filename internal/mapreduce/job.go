@@ -71,9 +71,6 @@
 //   - RecordIter.Record() is valid only until the next call to Next().
 //     Callers that retain a record (or datums extracted from its string or
 //     bytes fields) past that point must call Record().Clone().
-//   - BatchIter.Batch() and everything borrowed from it (column slices,
-//     the selection vector, materialized records' string/bytes fields) are
-//     valid only until the next call to NextBatch(). Retainers copy.
 //   - Emit (interp.Context.Emit and Output.Write) fully serializes its key
 //     and value before returning, so mappers and reducers may emit the
 //     reused record an iterator handed them.
@@ -96,15 +93,6 @@ import (
 // shared across goroutines.
 type Mapper interface {
 	Map(key serde.Datum, rec *serde.Record, ctx *interp.Context) error
-}
-
-// BatchMapper is optionally implemented by mappers that consume a whole
-// column-vector batch at a time (late materialization: only rows in the
-// batch's selection vector are materialized and mapped). MapBatch over a
-// batch must be observably identical to calling Map for each selected row
-// with key Base()+row.
-type BatchMapper interface {
-	MapBatch(b *serde.Batch, ctx *interp.Context) error
 }
 
 // Reducer processes one key group.

@@ -87,20 +87,10 @@ type Plan struct {
 	// scan-sharing registry: map tasks whose file and block range match
 	// another in-flight subscribed scan ride one shared physical scan, with
 	// the block-skip pushdown relaxed to the union of the subscribers'
-	// filters and each job's residual re-applied per batch. Like Vectorized
-	// it is an execution strategy with identical output; the System sets it
-	// (it owns the registry), and MANIMAL_NOSHARE=1 disables it globally.
+	// filters and each job's residual re-applied per batch. It is an
+	// execution strategy with identical output; the System sets it (it
+	// owns the registry), and MANIMAL_NOSHARE=1 disables it globally.
 	SharedScan bool
-	// Vectorized selects batch-at-a-time execution for record-file scans
-	// (original or re-encoded): blocks decode into column vectors, the
-	// residual filter runs as vectorized kernels, and rows materialize
-	// late. It is an execution STRATEGY, not an optimization — outputs and
-	// counters are identical to the row-at-a-time path (the pushdown's
-	// legality gates are unchanged) — so it is on for every record-file
-	// plan, including unoptimized ones, unless MANIMAL_ROWSCAN=1 forces
-	// the row path as a differential/fallback oracle (mirroring
-	// MANIMAL_TREEWALK for the interpreter).
-	Vectorized bool
 	// Applied lists the optimizations in effect, e.g. ["selection",
 	// "projection"]. Empty for original scans.
 	Applied []string
@@ -132,10 +122,7 @@ type Options struct {
 // file's schema; entries are the catalog's indexes for that input; conf
 // binds config parameters referenced by the selection formula.
 func Choose(desc *analyzer.Descriptor, inputPath string, schema *serde.Schema, entries []catalog.Entry, conf predicate.Config, opts Options) *Plan {
-	plan := &Plan{Kind: PlanOriginal, InputPath: inputPath, Vectorized: VectorizedEnabled()}
-	if !plan.Vectorized {
-		plan.notef("vectorized scan disabled (MANIMAL_ROWSCAN=1); row-at-a-time fallback")
-	}
+	plan := &Plan{Kind: PlanOriginal, InputPath: inputPath}
 	if desc == nil {
 		plan.notef("no optimization descriptor; running unmodified")
 		return plan
@@ -407,7 +394,6 @@ func chooseRecordFile(desc *analyzer.Descriptor, schema *serde.Schema, entries [
 				InputPath:   base.InputPath,
 				IndexPath:   e.IndexPath,
 				DirectCodes: directCodes,
-				Vectorized:  base.Vectorized,
 				Applied:     applied,
 				Notes:       append([]string(nil), base.Notes...),
 			}
@@ -415,16 +401,6 @@ func chooseRecordFile(desc *analyzer.Descriptor, schema *serde.Schema, entries [
 		}
 	}
 	return best, bestFields
-}
-
-// VectorizedEnabled reports whether record-file scans run batch-at-a-time.
-// On by default; MANIMAL_ROWSCAN=1 forces the row-at-a-time path (the
-// differential/fallback oracle), mirroring MANIMAL_TREEWALK's treatment of
-// the interpreter's compiled closures. Checked at plan time so a plan's
-// explain output records the strategy actually used.
-func VectorizedEnabled() bool {
-	v := os.Getenv("MANIMAL_ROWSCAN")
-	return v == "" || v == "0"
 }
 
 // ScanSharingEnabled reports whether concurrent scans of the same input

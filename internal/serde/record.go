@@ -42,8 +42,8 @@ func (r *Record) Lookup(name string) (Datum, bool) {
 // At returns the datum at field position i.
 func (r *Record) At(i int) Datum { return r.vals[i] }
 
-// Slot returns a pointer to field i's storage for in-place decoding by
-// high-throughput readers (storage.Scanner), sparing a Datum copy per
+// Slot returns a pointer to field i's storage for in-place writes by
+// high-throughput readers (Batch materialization), sparing a Datum copy per
 // field. The caller must store a datum of the schema's kind for the field;
 // SetAt is the checked path for everyone not on a per-record hot loop.
 func (r *Record) Slot(i int) *Datum { return &r.vals[i] }

@@ -172,6 +172,11 @@ func DecodeSchema(buf []byte) (*Schema, int, error) {
 		return nil, 0, fmt.Errorf("serde: truncated schema header")
 	}
 	pos := used
+	// Every field takes at least two bytes (name length and kind), so a
+	// count the buffer cannot hold is corrupt, not an allocation size.
+	if n > uint64(len(buf)-pos)/2 {
+		return nil, 0, fmt.Errorf("serde: schema field count %d exceeds header", n)
+	}
 	fields := make([]Field, 0, n)
 	for i := uint64(0); i < n; i++ {
 		l, used := binary.Uvarint(buf[pos:])
@@ -179,7 +184,7 @@ func DecodeSchema(buf []byte) (*Schema, int, error) {
 			return nil, 0, fmt.Errorf("serde: truncated schema field %d", i)
 		}
 		pos += used
-		if pos+int(l)+1 > len(buf) {
+		if l >= uint64(len(buf)-pos) {
 			return nil, 0, fmt.Errorf("serde: truncated schema field name %d", i)
 		}
 		name := string(buf[pos : pos+int(l)])

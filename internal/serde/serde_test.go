@@ -2,6 +2,7 @@ package serde
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -273,5 +274,29 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 	if _, _, err := DecodeSortKey(nil); err == nil {
 		t.Error("empty sort key accepted")
+	}
+}
+
+// TestDecodeHugeLengthPrefix: a string/bytes length prefix past the end of
+// the buffer — up to 2^63, which wraps negative as an int — is an error on
+// every decoder, never a slice-bounds panic.
+func TestDecodeHugeLengthPrefix(t *testing.T) {
+	for _, l := range []uint64{1 << 40, 1 << 63, 1<<64 - 1} {
+		buf := binary.AppendUvarint(nil, l)
+		buf = append(buf, "abc"...)
+		for _, k := range []Kind{KindString, KindBytes} {
+			if _, _, err := DecodeValue(k, buf); err == nil {
+				t.Errorf("DecodeValue(%v) accepted length %d", k, l)
+			}
+			if _, err := SkipValue(k, buf); err == nil {
+				t.Errorf("SkipValue(%v) accepted length %d", k, l)
+			}
+		}
+		if _, err := DecodeStringColumnShared(buf, make([]string, 1)); err == nil {
+			t.Errorf("DecodeStringColumnShared accepted length %d", l)
+		}
+		if _, err := DecodeBytesColumnShared(buf, make([][]byte, 1)); err == nil {
+			t.Errorf("DecodeBytesColumnShared accepted length %d", l)
+		}
 	}
 }

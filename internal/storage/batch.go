@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -8,19 +9,23 @@ import (
 	"manimal/internal/serde"
 )
 
-// BatchScanner is the batch-at-a-time counterpart of Scanner over columnar
-// (format v4) files: each call to Next loads the next surviving block,
-// bulk-decodes its unmasked fields into flat column vectors, evaluates the
-// residual filter as vectorized kernels over those vectors, and exposes the
-// result as one serde.Batch with a selection vector — rows are never
-// materialized unless the consumer asks (Batch.MaterializeInto).
+// BatchScanner is the record file's one block decoder: each call to Next
+// loads the next surviving block, bulk-decodes its unmasked fields into
+// flat column vectors, evaluates the residual filter as vectorized kernels
+// over those vectors, and exposes the result as one serde.Batch with a
+// selection vector — rows are never materialized unless the consumer asks
+// (Batch.MaterializeInto, or the per-row Scanner view). Columnar (v4)
+// blocks decode straight from their per-field segments; legacy
+// row-interleaved (v2/v3) blocks first go through one adapter
+// (rowSegments) that gathers each field's values into a segment, so both
+// layouts share every decode and filter kernel.
 //
-// Equivalence contract: a batch scan and a row scan over the same range and
-// pushdown agree exactly — same surviving rows (selection vector ↔ rows the
-// row scanner yields), same decoded values, same whole-file record indices
-// (Batch.Base()+row ↔ Scanner.RecordIndex), and same pruning counters
-// (blocks read/skipped, rows residual-filtered), flushed per block on both
-// paths. The differential tests pin this.
+// Contract: surviving rows, decoded values, whole-file record indices
+// (Batch.Base()+row), and pruning counters (blocks read/skipped, rows
+// residual-filtered, flushed per block) are those of an unpruned decode
+// plus an independent predicate evaluation; masked fields read as their
+// kind's zero. The storage round-trip and pushdown tests pin this against
+// the records the writer was given.
 //
 // Buffer ownership: the scanner reuses one Batch, its vectors, and the
 // underlying block buffer across blocks. Everything borrowed from the
@@ -37,10 +42,11 @@ type BatchScanner struct {
 	decode      []bool // per-field decode mask; nil decodes everything
 	blockFilter *compiledFilter
 	rowFilter   *compiledFilter
-	segLens     []int   // per-field segment lengths of the loaded block
-	mask        []bool  // reused residual-filter row mask
-	tmp         []bool  // reused per-conjunct mask
-	raws        []int64 // reused delta/dict raw value scratch
+	segs        [][]byte // per-field value segments of the loaded block
+	rowBufs     [][]byte // row-interleaved blocks: per-field gathered values
+	mask        []bool   // reused residual-filter row mask
+	tmp         []bool   // reused per-conjunct mask
+	raws        []int64  // reused delta/dict raw value scratch
 	nextIdx     int64
 	blockIdx    int
 	valid       bool
@@ -55,13 +61,9 @@ type BatchScanner struct {
 }
 
 // ScanBatch returns a batch scanner over blocks [lo, hi) with the given
-// pushdown applied (nil scans everything). Only columnar (format v4) files
-// support batch scans; callers fall back to ScanPushdown for earlier
-// formats.
+// pushdown applied (nil scans everything). Every format version scans:
+// pre-stats (v2) files simply skip no blocks.
 func (r *Reader) ScanBatch(lo, hi int, pd *Pushdown) (*BatchScanner, error) {
-	if r.version < 4 {
-		return nil, fmt.Errorf("storage: %s: batch scan requires columnar format v4, file is v%d", r.path, r.version)
-	}
 	if lo < 0 || hi > len(r.blocks) || lo > hi {
 		return nil, fmt.Errorf("storage: block range [%d,%d) out of [0,%d)", lo, hi, len(r.blocks))
 	}
@@ -70,7 +72,7 @@ func (r *Reader) ScanBatch(lo, hi int, pd *Pushdown) (*BatchScanner, error) {
 		blockLo: lo,
 		blockHi: hi,
 		deltas:  make([]*compress.DeltaDecoder, r.schema.NumFields()),
-		segLens: make([]int, r.schema.NumFields()),
+		segs:    make([][]byte, r.schema.NumFields()),
 		nextIdx: r.RecordsInBlocks(0, lo),
 	}
 	for i, e := range r.encodings {
@@ -148,25 +150,30 @@ func (s *BatchScanner) BlockIndex() int { return s.blockIdx }
 // Err returns the first error encountered while scanning.
 func (s *BatchScanner) Err() error { return s.err }
 
+// Close releases nothing: a private scanner holds no shared state. It
+// exists so private and shared block iterators close alike.
+func (s *BatchScanner) Close() error { return nil }
+
 // loadColumns reads block bi, bulk-decodes every unmasked field into the
 // batch's column vectors, and computes the selection vector, flushing the
-// residual-drop count per block (mirroring the row scanner's flush).
+// residual-drop count per block.
 func (s *BatchScanner) loadColumns(bi int, base int64) error {
 	payload, recs, raw, err := s.r.readBlockPayload(bi, s.raw)
 	if err != nil {
 		return err
 	}
 	s.raw = raw
-	segStart, err := s.r.parseSegments(bi, payload, s.segLens)
+	n := int(recs)
+	if s.r.version >= 4 {
+		err = s.r.columnarSegments(bi, payload, s.segs)
+	} else {
+		err = s.rowSegments(bi, payload, n)
+	}
 	if err != nil {
 		return err
 	}
-	n := int(recs)
 	s.batch.Reset(s.r.schema, n, base)
-	pos := segStart
-	for i := 0; i < s.r.schema.NumFields(); i++ {
-		seg := payload[pos : pos+s.segLens[i]]
-		pos += s.segLens[i]
+	for i, seg := range s.segs {
 		if s.decode != nil && !s.decode[i] {
 			continue
 		}
@@ -177,6 +184,90 @@ func (s *BatchScanner) loadColumns(bi int, base int64) error {
 	}
 	s.selectRows(n)
 	return nil
+}
+
+// columnarSegments slices a columnar (v4) payload into its per-field
+// segments: a uvarint length per schema field, then the segments in schema
+// order, which must exactly tile the rest of the payload.
+func (r *Reader) columnarSegments(bi int, payload []byte, segs [][]byte) error {
+	data, total := 0, 0
+	for range segs {
+		v, n := binary.Uvarint(payload[data:])
+		if n <= 0 {
+			return r.corruptBlock(bi, fmt.Errorf("truncated segment table"))
+		}
+		if v > uint64(len(payload)) {
+			return r.corruptBlock(bi, fmt.Errorf("segment lengths do not tile payload"))
+		}
+		data += n
+		total += int(v)
+	}
+	if data+total != len(payload) {
+		return r.corruptBlock(bi, fmt.Errorf("segment lengths do not tile payload"))
+	}
+	tab := 0
+	for f := range segs {
+		v, n := binary.Uvarint(payload[tab:])
+		tab += n
+		segs[f] = payload[data : data+int(v)]
+		data += int(v)
+	}
+	return nil
+}
+
+// rowSegments is the legacy-layout adapter: it walks a row-interleaved
+// (v2/v3) payload of n rows field by field and gathers each unmasked
+// field's encoded values, in row order, into that field's segment. Each
+// encoding stores one self-delimiting value per row in either layout (and
+// delta chains are per field within a block), so the gathered bytes are
+// exactly the columnar segment a v4 writer would have produced. Masked
+// fields are stepped over and left empty.
+func (s *BatchScanner) rowSegments(bi int, payload []byte, n int) error {
+	if s.rowBufs == nil {
+		s.rowBufs = make([][]byte, len(s.segs))
+	}
+	for f := range s.rowBufs {
+		s.rowBufs[f] = s.rowBufs[f][:0]
+	}
+	pos := 0
+	for row := 0; row < n; row++ {
+		for f := range s.rowBufs {
+			l, err := s.r.valueLen(f, payload[pos:])
+			if err != nil {
+				return s.r.corruptBlock(bi, fmt.Errorf("row %d field %q: %w", row, s.r.schema.Field(f).Name, err))
+			}
+			if s.decode == nil || s.decode[f] {
+				s.rowBufs[f] = append(s.rowBufs[f], payload[pos:pos+l]...)
+			}
+			pos += l
+		}
+	}
+	if pos != len(payload) {
+		return s.r.corruptBlock(bi, fmt.Errorf("rows do not tile payload"))
+	}
+	copy(s.segs, s.rowBufs)
+	return nil
+}
+
+// valueLen returns the encoded length of field f's value at the start of
+// buf: the kind-implied width for plain fields, one varint for a delta, one
+// uvarint for a dictionary code.
+func (r *Reader) valueLen(f int, buf []byte) (int, error) {
+	var n int
+	switch r.encodings[f] {
+	case EncodePlain:
+		return serde.SkipValue(r.schema.Field(f).Kind, buf)
+	case EncodeDelta:
+		_, n = binary.Varint(buf)
+	case EncodeDict:
+		_, n = binary.Uvarint(buf)
+	default:
+		return 0, fmt.Errorf("unknown encoding %d", r.encodings[f])
+	}
+	if n <= 0 {
+		return 0, fmt.Errorf("truncated %v value", r.encodings[f])
+	}
+	return n, nil
 }
 
 // decodeColumn bulk-decodes one field's segment (n values) into its vector.
@@ -271,14 +362,15 @@ func (s *BatchScanner) decodeColumn(i int, seg []byte, n int) error {
 // residual filter every row survives; with one, each conjunct's bounds AND
 // into a per-conjunct mask via the vectorized interval kernels, conjuncts
 // OR into the row mask (DNF), and the mask compacts into the selection
-// vector. Behaviorally identical to compiledFilter.matchesRow per row.
+// vector. Behaviorally identical to predicate.ZoneFilter.MatchesRecord per
+// row over the bounds this file can serve.
 func (s *BatchScanner) selectRows(n int) {
 	if s.rowFilter == nil {
 		s.batch.SelectAll()
 		return
 	}
 	s.mask, s.tmp = applyFilterSel(s.rowFilter, &s.batch, &s.batch, s.mask, s.tmp)
-	// Per-block counter flush, same cadence as the row scanner.
+	// Per-block counter flush.
 	if dropped := int64(n - len(s.batch.Sel())); dropped > 0 {
 		s.r.rowsFiltered.Add(dropped)
 	}

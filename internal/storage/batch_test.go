@@ -4,16 +4,18 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"manimal/internal/compress"
 	"manimal/internal/predicate"
 	"manimal/internal/serde"
 )
 
-// rowScanCollect runs a row-at-a-time pushdown scan on an already-open
-// reader, returning cloned surviving records, their whole-file indexes,
-// and the reader's counters afterwards.
+// rowScanCollect runs a pushdown scan through the per-row Scanner view on
+// an already-open reader, returning cloned surviving records, their
+// whole-file indexes, and the reader's counters afterwards.
 func rowScanCollect(t *testing.T, r *Reader, pd *Pushdown) ([]*serde.Record, []int64, ScanStats) {
 	t.Helper()
 	sc, err := r.ScanPushdown(0, r.NumBlocks(), pd)
@@ -35,7 +37,7 @@ func rowScanCollect(t *testing.T, r *Reader, pd *Pushdown) ([]*serde.Record, []i
 // batchScanCollect runs a batch scan on an already-open reader,
 // materializing every selected row through one reused record (late
 // materialization, as the engine does), and returns the same triple as
-// rowScanCollect so the two paths compare field for field.
+// rowScanCollect.
 func batchScanCollect(t *testing.T, r *Reader, pd *Pushdown) ([]*serde.Record, []int64, ScanStats) {
 	t.Helper()
 	sc, err := r.ScanBatch(0, r.NumBlocks(), pd)
@@ -59,11 +61,81 @@ func batchScanCollect(t *testing.T, r *Reader, pd *Pushdown) ([]*serde.Record, [
 	return recs, idx, r.ScanStats()
 }
 
-// TestBatchRowScanDifferential is the batch path's equivalence gate:
-// across every encoding combination and pushdown shape, a batch scan
-// yields exactly the records, indexes, AND pruning counters of a
-// row-at-a-time scan over the same file — the contract the vectorized
-// execution path rests on.
+// expectedScan is the oracle a pushdown scan of the file holding recs must
+// reproduce, computed from the writer's input without decoding a block:
+// the rows of every block the zone maps cannot rule out, minus the rows
+// the residual rejects (oracleFilter's predicate, evaluated in plain Go),
+// with every masked field zeroed and whole-file indices; and the counters
+// such a scan reports.
+func expectedScan(recs []*serde.Record, r *Reader, pd *Pushdown) ([]*serde.Record, []int64, ScanStats) {
+	skip := make([]bool, r.NumBlocks())
+	if pd != nil && pd.Filter != nil {
+		skip, _ = r.SkippableBlocks(pd.Filter)
+	}
+	var keep map[string]bool
+	if pd != nil && pd.Fields != nil {
+		keep = make(map[string]bool)
+		for _, f := range pd.Fields {
+			keep[f] = true
+		}
+		if pd.Residual {
+			for _, c := range pd.Filter {
+				for _, fi := range c {
+					keep[fi.Field] = true
+				}
+			}
+		}
+	}
+	var want []*serde.Record
+	var idx []int64
+	var st ScanStats
+	for b := range skip {
+		if skip[b] {
+			st.BlocksSkipped++
+			continue
+		}
+		st.BlocksRead++
+		lo := r.RecordsInBlocks(0, b)
+		for i := lo; i < lo+r.RecordsInBlocks(b, b+1); i++ {
+			rec := recs[i]
+			if pd != nil && pd.Residual && len(oracleFilter([]*serde.Record{rec}, pd.Filter)) == 0 {
+				st.RowsFiltered++
+				continue
+			}
+			if keep != nil {
+				rec = rec.Clone()
+				for f := 0; f < rec.Schema().NumFields(); f++ {
+					if fd := rec.Schema().Field(f); !keep[fd.Name] {
+						*rec.Slot(f) = serde.ZeroOf(fd.Kind)
+					}
+				}
+			}
+			want = append(want, rec)
+			idx = append(idx, i)
+		}
+	}
+	return want, idx, st
+}
+
+// requireScan checks one scan's records, indexes and counters against
+// expectedScan's.
+func requireScan(t *testing.T, recs []*serde.Record, r *Reader, pd *Pushdown, got []*serde.Record, gotIdx []int64, gotStats ScanStats) {
+	t.Helper()
+	want, wantIdx, wantStats := expectedScan(recs, r, pd)
+	requireEqual(t, want, got)
+	if !reflect.DeepEqual(wantIdx, gotIdx) {
+		t.Fatalf("record indexes diverge from the writer's positions (%d vs %d indexes)", len(gotIdx), len(wantIdx))
+	}
+	if gotStats != wantStats {
+		t.Fatalf("counters %+v, want %+v", gotStats, wantStats)
+	}
+}
+
+// TestBatchRowScanDifferential is the decoder's pushdown gate: across
+// every encoding combination and pushdown shape, the batch scan and the
+// per-row Scanner view over it each yield exactly the writer's records
+// (filtered, masked and indexed per expectedScan) and the expected pruning
+// counters.
 func TestBatchRowScanDifferential(t *testing.T) {
 	recs := makeRecords(4000, 31)
 	encodings := map[string]WriterOptions{
@@ -89,35 +161,17 @@ func TestBatchRowScanDifferential(t *testing.T) {
 		writeFile(t, path, recs, opts)
 		for pdName, pd := range pushdowns {
 			t.Run(encName+"/"+pdName, func(t *testing.T) {
-				rr, err := Open(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer rr.Close()
-				br, err := Open(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer br.Close()
-				rowRecs, rowIdx, rowStats := rowScanCollect(t, rr, pd)
-				batchRecs, batchIdx, batchStats := batchScanCollect(t, br, pd)
-				requireEqual(t, rowRecs, batchRecs)
-				if len(rowIdx) != len(batchIdx) {
-					t.Fatalf("index count %d != %d", len(batchIdx), len(rowIdx))
-				}
-				for i := range rowIdx {
-					if rowIdx[i] != batchIdx[i] {
-						t.Fatalf("row %d: batch index %d != row index %d", i, batchIdx[i], rowIdx[i])
+				for view, collect := range map[string]func(*testing.T, *Reader, *Pushdown) ([]*serde.Record, []int64, ScanStats){
+					"batch": batchScanCollect,
+					"rows":  rowScanCollect,
+				} {
+					r, err := Open(path)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if rowStats != batchStats {
-					t.Fatalf("counters diverge: batch %+v != row %+v", batchStats, rowStats)
-				}
-				if pd != nil && pd.Filter != nil {
-					if batchStats.BlocksRead+batchStats.BlocksSkipped != int64(br.NumBlocks()) {
-						t.Fatalf("blocks read %d + skipped %d != total %d",
-							batchStats.BlocksRead, batchStats.BlocksSkipped, br.NumBlocks())
-					}
+					got, gotIdx, st := collect(t, r, pd)
+					t.Run(view, func(t *testing.T) { requireScan(t, recs, r, pd, got, gotIdx, st) })
+					r.Close()
 				}
 			})
 		}
@@ -126,8 +180,7 @@ func TestBatchRowScanDifferential(t *testing.T) {
 
 // TestBatchScanSkipsBoundaryStraddlingBlocks: a range whose endpoints land
 // mid-block must skip the blocks wholly outside it, read every straddling
-// block, and still match the oracle row for row — with the counters
-// agreeing with the row path.
+// block, and still match the oracle row for row, counters included.
 func TestBatchScanSkipsBoundaryStraddlingBlocks(t *testing.T) {
 	recs := makeRecords(4000, 32)
 	path := filepath.Join(t.TempDir(), "straddle.rec")
@@ -145,13 +198,8 @@ func TestBatchScanSkipsBoundaryStraddlingBlocks(t *testing.T) {
 	}
 	defer br.Close()
 	got, gotIdx, st := batchScanCollect(t, br, pd)
-	want := oracleFilter(recs, filter)
-	requireEqual(t, want, got)
-	for i, idx := range gotIdx {
-		if !recs[idx].Equal(got[i]) {
-			t.Fatalf("index %d does not address its own record", idx)
-		}
-	}
+	requireEqual(t, oracleFilter(recs, filter), got)
+	requireScan(t, recs, br, pd, got, gotIdx, st)
 	if st.BlocksSkipped == 0 {
 		t.Fatalf("1/3-selectivity range skipped no blocks: %+v", st)
 	}
@@ -161,21 +209,12 @@ func TestBatchScanSkipsBoundaryStraddlingBlocks(t *testing.T) {
 	if st.RowsFiltered == 0 {
 		t.Fatal("straddling blocks should have residual-dropped rows")
 	}
-
-	rr, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rr.Close()
-	_, _, rowStats := rowScanCollect(t, rr, pd)
-	if rowStats != st {
-		t.Fatalf("counters diverge: batch %+v != row %+v", st, rowStats)
-	}
 }
 
-// TestBatchScanDirectCodes: under DirectCodes the batch path decodes dict
-// fields to the same injective code strings as the row path, and the
-// residual filter ignores dict-field bounds on both paths alike.
+// TestBatchScanDirectCodes: under DirectCodes dict fields decode to the
+// injective code strings of their first-seen order, and the residual
+// filter ignores dict-field bounds (blocks still skip on the stats of the
+// original values), on the batch and row views alike.
 func TestBatchScanDirectCodes(t *testing.T) {
 	schema := serde.MustSchema(
 		serde.Field{Name: "s", Kind: serde.KindString},
@@ -206,29 +245,36 @@ func TestBatchScanDirectCodes(t *testing.T) {
 	filter := predicate.ZoneFilter{{predicate.FieldInterval{Field: "s",
 		Iv: predicate.PointInterval(serde.String("mm"))}}}
 	pd := &Pushdown{Filter: filter, Residual: true}
-	rr, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rr.Close()
-	rr.DirectCodes = true
-	br, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer br.Close()
-	br.DirectCodes = true
-	rowRecs, _, rowStats := rowScanCollect(t, rr, pd)
-	batchRecs, _, batchStats := batchScanCollect(t, br, pd)
-	requireEqual(t, rowRecs, batchRecs)
-	if len(batchRecs) == 0 {
-		t.Fatal("residual filter dropped all rows under DirectCodes")
-	}
-	if rowStats != batchStats {
-		t.Fatalf("counters diverge: batch %+v != row %+v", batchStats, rowStats)
-	}
-	if batchStats.RowsFiltered != 0 {
-		t.Fatalf("residual filtered %d rows on code strings", batchStats.RowsFiltered)
+	for view, collect := range map[string]func(*testing.T, *Reader, *Pushdown) ([]*serde.Record, []int64, ScanStats){
+		"batch": batchScanCollect,
+		"rows":  rowScanCollect,
+	} {
+		r, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.DirectCodes = true
+		got, _, st := collect(t, r, pd)
+		// Every row of every block the stats keep survives, its dict field
+		// rendered as the code the writer assigned (first-seen order).
+		skip, skipped := r.SkippableBlocks(filter)
+		var want []*serde.Record
+		for b := range skip {
+			lo := r.RecordsInBlocks(0, b)
+			for i := lo; i < lo+r.RecordsInBlocks(b, b+1) && !skip[b]; i++ {
+				w := recs[i].Clone()
+				w.MustSet("s", serde.String(compress.CodeString(uint64(i))))
+				want = append(want, w)
+			}
+		}
+		r.Close()
+		if len(want) == 0 || skipped == 0 {
+			t.Fatalf("filter kept %d rows and skipped %d blocks; want some of each", len(want), skipped)
+		}
+		requireEqual(t, want, got)
+		if st.RowsFiltered != 0 || st.BlocksSkipped != int64(skipped) {
+			t.Fatalf("%s: counters %+v, want %d skipped and no rows filtered on code strings", view, st, skipped)
+		}
 	}
 }
 
@@ -302,9 +348,10 @@ func writeLegacyV3File(t *testing.T, path string, schema *serde.Schema, recs []*
 }
 
 // TestRowInterleavedV3Compat pins backward compatibility with the
-// row-interleaved stats format: a v3 file opens with stats, row scans
-// (plain and pruned) match the oracle exactly, and ScanBatch refuses it —
-// the engine's fallback to the row path for pre-columnar files.
+// row-interleaved stats format: a v3 file opens with stats, and ScanBatch
+// (through the row-interleaved adapter) and the Scanner view over it
+// reproduce the writer's records for plain, pruned and field-masked
+// scans — stats drive block skipping as on columnar files.
 func TestRowInterleavedV3Compat(t *testing.T) {
 	recs := makeRecords(2000, 33)
 	path := filepath.Join(t.TempDir(), "legacy-v3.rec")
@@ -320,25 +367,41 @@ func TestRowInterleavedV3Compat(t *testing.T) {
 	}
 	requireEqual(t, recs, readBack(t, path))
 
-	// Pruned row scans still work: v3 stats drive block skipping.
 	minTS := recs[0].Get("ts").I
 	maxTS := recs[len(recs)-1].Get("ts").I
 	filter := tsFilter(serde.Int((minTS+maxTS)/2), serde.Int((minTS+maxTS)/2+50))
-	want := oracleFilter(recs, filter)
-	got, _, st := rowScanCollect(t, r, &Pushdown{Filter: filter, Residual: true})
-	requireEqual(t, want, got)
-	if st.BlocksSkipped == 0 {
-		t.Fatalf("v3 stats did not prune: %+v", st)
-	}
-
-	// Batch scans require the columnar layout.
-	if _, err := r.ScanBatch(0, r.NumBlocks(), nil); err == nil {
-		t.Fatal("ScanBatch accepted a row-interleaved v3 file")
+	for name, pd := range map[string]*Pushdown{
+		"nil":      nil,
+		"residual": {Filter: filter, Residual: true},
+		"fields":   {Fields: []string{"score"}},
+		"combined": {Filter: filter, Residual: true, Fields: []string{"url"}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			br, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer br.Close()
+			got, gotIdx, st := batchScanCollect(t, br, pd)
+			requireScan(t, recs, br, pd, got, gotIdx, st)
+			if len(got) == 0 {
+				t.Fatal("scan yielded no rows")
+			}
+			if pd != nil && pd.Filter != nil && st.BlocksSkipped == 0 {
+				t.Fatalf("v3 stats did not prune: %+v", st)
+			}
+			rr, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rr.Close()
+			got, gotIdx, st = rowScanCollect(t, rr, pd)
+			requireScan(t, recs, rr, pd, got, gotIdx, st)
+		})
 	}
 }
 
-// TestBatchScanRangeValidation mirrors the row scanner's block-range
-// checks.
+// TestBatchScanRangeValidation pins ScanBatch's block-range checks.
 func TestBatchScanRangeValidation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rng.rec")
 	writeFile(t, path, makeRecords(500, 34), WriterOptions{BlockSize: 1 << 10})
@@ -353,7 +416,7 @@ func TestBatchScanRangeValidation(t *testing.T) {
 	if _, err := r.ScanBatch(0, r.NumBlocks()+1, nil); err == nil {
 		t.Error("out-of-range block accepted")
 	}
-	// Disjoint halves cover everything exactly once, as with row scans.
+	// Disjoint halves cover everything exactly once.
 	mid := r.NumBlocks() / 2
 	total := 0
 	rec := serde.NewRecord(r.Schema())

@@ -13,6 +13,16 @@ import (
 // and re-plans on the original input.
 var ErrCorruptBlock = errors.New("corrupt block")
 
+// ErrCorruptFile is the sentinel for a record file whose header or footer
+// metadata cannot be trusted: a length or count that does not fit the file.
+// Open returns it (match with errors.Is) instead of allocating from the
+// bad length.
+var ErrCorruptFile = errors.New("corrupt record file")
+
+func corruptMeta(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorruptFile}, args...)...)
+}
+
 // CorruptBlockError reports that a block of a record file failed its
 // CRC32C verification or could not be decoded. It wraps ErrCorruptBlock
 // (and the underlying decode error, if any).

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -179,5 +180,133 @@ func TestWriterAbortNeverTouchesFinalPath(t *testing.T) {
 	}
 	if len(left) != 1 {
 		t.Errorf("temp debris left after Abort: %v", left)
+	}
+}
+
+// TestOpenBoundsMetadataLengths: every length Open allocates from — the
+// header length, the footer length, the block count, the schema field
+// count — is checked against the bytes that can hold it first, so a
+// damaged length word is an error, never an out-of-memory crash or a
+// panic.
+func TestOpenBoundsMetadataLengths(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.rec")
+	writeFile(t, good, makeRecords(500, 12), WriterOptions{BlockSize: 1 << 10})
+	raw, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailer := len(raw) - 16 // uint64le footer length, then the magic
+	ftrLen := int(binary.LittleEndian.Uint64(raw[trailer:]))
+	ftrStart := trailer - ftrLen
+	hdrLen, hdrUsed := binary.Uvarint(raw[len(magicHeader):])
+	hdrStart := len(magicHeader) + hdrUsed
+
+	// splice replaces raw[lo:hi] with b.
+	splice := func(lo, hi int, b []byte) []byte {
+		out := append([]byte(nil), raw[:lo]...)
+		out = append(out, b...)
+		return append(out, raw[hi:]...)
+	}
+	footerWord := func(v uint64) []byte {
+		out := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint64(out[trailer:], v)
+		return out
+	}
+	huge := binary.AppendUvarint(nil, 1<<40)
+	_, nbUsed := binary.Uvarint(raw[ftrStart:])
+	hugeBlocks := splice(ftrStart, ftrStart+nbUsed, huge)
+	binary.LittleEndian.PutUint64(hugeBlocks[len(hugeBlocks)-16:], uint64(ftrLen-nbUsed+len(huge)))
+	hdrBody := raw[hdrStart : hdrStart+int(hdrLen)]
+	_, fieldsUsed := binary.Uvarint(hdrBody)
+	body := append(append([]byte(nil), huge...), hdrBody[fieldsUsed:]...)
+	hugeFields := append([]byte(magicHeader), binary.AppendUvarint(nil, uint64(len(body)))...)
+	hugeFields = append(append(hugeFields, body...), raw[hdrStart+int(hdrLen):]...)
+
+	cases := map[string]struct {
+		bytes []byte
+		typed bool // reported as ErrCorruptFile
+	}{
+		"footer-length-2^40":        {footerWord(1 << 40), true},
+		"footer-length-2^63":        {footerWord(1 << 63), true},
+		"footer-length-past-header": {footerWord(uint64(len(raw))), true},
+		"header-length-2^40":        {splice(len(magicHeader), hdrStart, huge), true},
+		"block-count-2^40":          {hugeBlocks, true},
+		"schema-fields-2^40":        {hugeFields, false},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(dir, name+".rec")
+			if err := os.WriteFile(path, c.bytes, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Open(path)
+			if err == nil {
+				r.Close()
+				t.Fatal("damaged metadata accepted")
+			}
+			if c.typed && !errors.Is(err, ErrCorruptFile) {
+				t.Fatalf("error %v does not match ErrCorruptFile", err)
+			}
+		})
+	}
+}
+
+// TestBlockRecordCountChecked: a block's record count sizes the decoder's
+// column vectors, and a file sealed without block checksums cannot vouch
+// for it. A count of 2^40 — in the block header and the footer alike —
+// must be a CorruptBlockError, not an out-of-memory crash.
+func TestBlockRecordCountChecked(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nocrc.rec")
+	writeFile(t, path, makeRecords(20, 13), WriterOptions{}) // one block
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdrLen, used := binary.Uvarint(raw[len(magicHeader):])
+	blk := len(magicHeader) + used + int(hdrLen)
+	payloadLen, plUsed := binary.Uvarint(raw[blk:])
+	_, recUsed := binary.Uvarint(raw[blk+plUsed:])
+	payload := raw[blk+plUsed+recUsed : blk+plUsed+recUsed+int(payloadLen)]
+	trailer := len(raw) - 16
+	oldFtr := raw[trailer-int(binary.LittleEndian.Uint64(raw[trailer:])) : trailer]
+	pos := 0
+	for i := 0; i < 4; i++ { // block count, then offset, length, records
+		_, n := binary.Uvarint(oldFtr[pos:])
+		pos += n
+	}
+	statsAndDicts := oldFtr[pos : len(oldFtr)-len(magicChecksums)-4] // drop "CRC1" + one CRC
+
+	const huge = 1 << 40
+	out := append([]byte(nil), raw[:blk]...)
+	out = binary.AppendUvarint(out, payloadLen)
+	out = binary.AppendUvarint(out, huge)
+	out = append(out, payload...)
+	var ftr []byte
+	ftr = binary.AppendUvarint(ftr, 1)
+	ftr = binary.AppendUvarint(ftr, uint64(blk))
+	ftr = binary.AppendUvarint(ftr, uint64(len(out)-blk))
+	ftr = binary.AppendUvarint(ftr, huge)
+	ftr = append(ftr, statsAndDicts...)
+	out = append(out, ftr...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(ftr)))
+	out = append(out, magicFooterV4...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	sc, err := r.ScanAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sc.Next() {
+	}
+	if !errors.Is(sc.Err(), ErrCorruptBlock) {
+		t.Fatalf("scan error %v, want a corrupt block", sc.Err())
 	}
 }

@@ -90,6 +90,9 @@ func (r *Reader) readMeta() error {
 		return fmt.Errorf("truncated header length")
 	}
 	hdrOff := int64(len(magicHeader) + used)
+	if room := r.fileSize - hdrOff; room < 0 || hdrLen > uint64(room) {
+		return corruptMeta("header length %d exceeds file size %d", hdrLen, r.fileSize)
+	}
 	hdr := make([]byte, hdrLen)
 	if _, err := r.f.ReadAt(hdr, hdrOff); err != nil {
 		return fmt.Errorf("read header body: %w", err)
@@ -127,9 +130,12 @@ func (r *Reader) readMeta() error {
 	default:
 		return fmt.Errorf("bad footer magic: truncated record file")
 	}
-	ftrLen := int64(binary.LittleEndian.Uint64(tail[:8]))
+	ftrLen := binary.LittleEndian.Uint64(tail[:8])
+	if room := r.fileSize - int64(len(tail)) - r.dataStart; room < 0 || ftrLen > uint64(room) {
+		return corruptMeta("footer length %d exceeds file size %d", ftrLen, r.fileSize)
+	}
 	ftr := make([]byte, ftrLen)
-	if _, err := r.f.ReadAt(ftr, r.fileSize-int64(len(tail))-ftrLen); err != nil {
+	if _, err := r.f.ReadAt(ftr, r.fileSize-int64(len(tail))-int64(ftrLen)); err != nil {
 		return fmt.Errorf("read footer: %w", err)
 	}
 	pos := 0
@@ -138,6 +144,10 @@ func (r *Reader) readMeta() error {
 		return fmt.Errorf("truncated block index")
 	}
 	pos += used
+	// Every index entry takes at least three bytes (three uvarints).
+	if nb > uint64(len(ftr)-pos)/3 {
+		return corruptMeta("block count %d exceeds footer size %d", nb, len(ftr))
+	}
 	r.blocks = make([]blockInfo, 0, nb)
 	for i := uint64(0); i < nb; i++ {
 		var b blockInfo
@@ -246,39 +256,31 @@ func (r *Reader) Dictionary(name string) *compress.Dictionary {
 // Close closes the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }
 
-// Scanner iterates over the records of a contiguous block range. It is not
-// safe for concurrent use; create one scanner per map task.
+// Scanner iterates over the surviving records of a contiguous block range
+// one row at a time. It is a per-row cursor over a block iterator — a
+// private BatchScanner, or a shared-scan subscription (SharedScanner.Rows)
+// — so every record-file scan decodes through the one batch decoder: each
+// selected row late-materializes from the current batch's column vectors
+// into one reused record. It is not safe for concurrent use; create one
+// scanner per map task.
 //
-// Buffer ownership: the scanner decodes every row into one reused record
-// whose string and bytes fields alias a reused block buffer, so a full scan
-// performs no per-record allocations. The record returned by Record is
-// therefore valid only until the next call to Next; callers that retain
-// records across iterations must call Record().Clone().
+// Buffer ownership: the record returned by Record is reused and its
+// string/bytes fields alias the current batch, so it is valid only until
+// the next call to Next; callers that retain records across iterations
+// must call Record().Clone(). The record is read-only: masked slots are
+// zeroed once per batch, not per row, so a write into it could leak into
+// later rows.
 type Scanner struct {
-	r        *Reader
-	blockLo  int    // next block to load
-	blockHi  int    // one past last block
-	curBlock int    // block currently decoding (for corruption reports)
-	raw      []byte // reused block read buffer; buf points into it
-	buf      []byte
-	recsLeft int64
-	pos      int   // v2/v3 row-interleaved payload cursor
-	fieldPos []int // v4 columnar payloads: one cursor per field segment
-	deltas   []*compress.DeltaDecoder
-	rec      *serde.Record // reused current record; see ownership note
-	valid    bool
-	err      error
+	blocks blockIter
+	batch  *serde.Batch // current batch; nil before the first
+	pos    int          // next position in batch's selection vector
+	rec    *serde.Record
+	idx    int64
+	valid  bool
+}
 
-	// Pushdown state (see Pushdown). decode is nil when every field is
-	// decoded; blockFilter/rowFilter are compiled against this file's
-	// schema; nextIdx/curIdx track the record's position in the WHOLE file
-	// so pruned scans expose the same record keys as unpruned ones.
-	decode      []bool
-	blockFilter *compiledFilter
-	rowFilter   *compiledFilter
-	filtered    int64 // residual drops this block, flushed per block
-	nextIdx     int64
-	curIdx      int64
+func newScanner(blocks blockIter, schema *serde.Schema) *Scanner {
+	return &Scanner{blocks: blocks, rec: serde.NewRecord(schema)}
 }
 
 // Scan returns a scanner over blocks [lo, hi). Passing (0, NumBlocks())
@@ -291,55 +293,17 @@ func (r *Reader) Scan(lo, hi int) (*Scanner, error) { return r.ScanPushdown(lo, 
 // surviving records: values decode identically, masked fields read as
 // their kind's zero value, and RecordIndex reflects whole-file positions.
 func (r *Reader) ScanPushdown(lo, hi int, pd *Pushdown) (*Scanner, error) {
-	if lo < 0 || hi > len(r.blocks) || lo > hi {
-		return nil, fmt.Errorf("storage: block range [%d,%d) out of [0,%d)", lo, hi, len(r.blocks))
+	bs, err := r.ScanBatch(lo, hi, pd)
+	if err != nil {
+		return nil, err
 	}
-	s := &Scanner{
-		r:       r,
-		blockLo: lo,
-		blockHi: hi,
-		deltas:  make([]*compress.DeltaDecoder, r.schema.NumFields()),
-		rec:     serde.NewRecord(r.schema),
-		nextIdx: r.RecordsInBlocks(0, lo),
-	}
-	for i, e := range r.encodings {
-		if e == EncodeDelta {
-			d, err := compress.NewDeltaDecoder(r.schema.Field(i).Kind)
-			if err != nil {
-				return nil, err
-			}
-			s.deltas[i] = d
-		}
-	}
-	if pd != nil {
-		if pd.Filter != nil {
-			bf := r.compileFilter(pd.Filter, false)
-			s.blockFilter = &bf
-			if pd.Residual {
-				rf := r.compileFilter(pd.Filter, true)
-				s.rowFilter = &rf
-			}
-		}
-		s.decode = r.decodeMaskFor(pd, s.rowFilter)
-		if s.decode != nil {
-			// Masked slots hold a deterministic zero value, not stale bytes.
-			for i := range s.decode {
-				if !s.decode[i] {
-					*s.rec.Slot(i) = serde.ZeroOf(r.schema.Field(i).Kind)
-				}
-			}
-		}
-	}
-	if r.version >= 4 {
-		s.fieldPos = make([]int, r.schema.NumFields())
-	}
-	return s, nil
+	return newScanner(bs, r.schema), nil
 }
 
 // decodeMaskFor computes the per-field decode mask a pushdown implies: the
 // masked field set, widened by every field the residual filter constrains
-// (the filter reads its fields off the decoded row, so they decode
-// regardless of the mask). Nil means decode everything.
+// (the filter reads its fields' decoded columns, so they decode regardless
+// of the mask). Nil means decode everything.
 func (r *Reader) decodeMaskFor(pd *Pushdown, rowFilter *compiledFilter) []bool {
 	if pd == nil || pd.Fields == nil {
 		return nil
@@ -364,225 +328,58 @@ func (r *Reader) decodeMaskFor(pd *Pushdown, rowFilter *compiledFilter) []bool {
 func (r *Reader) ScanAll() (*Scanner, error) { return r.Scan(0, len(r.blocks)) }
 
 // Next advances to the next surviving record, returning false at the end
-// of the range or on error (check Err). With a pushdown installed it
-// transparently skips blocks the zone maps rule out (without reading their
-// payload) and rows the residual filter rejects.
+// of the range or on error (check Err). Blocks the zone maps rule out and
+// rows the residual filter rejects never surface.
 func (s *Scanner) Next() bool {
-	if s.err != nil {
-		return false
-	}
-	for {
-		for s.recsLeft == 0 {
-			if s.blockLo >= s.blockHi {
-				s.flushFiltered()
-				return false
-			}
-			b := s.blockLo
-			s.blockLo++
-			if s.blockFilter != nil && s.r.blockSkippable(s.blockFilter, b) {
-				s.nextIdx += s.r.blocks[b].records
-				s.r.blocksSkipped.Add(1)
-				continue
-			}
-			if err := s.loadBlock(b); err != nil {
-				s.err = err
-				return false
-			}
-		}
-		if !s.decodeRow() {
+	s.valid = false
+	for s.batch == nil || s.pos == len(s.batch.Sel()) {
+		if !s.blocks.Next() {
 			return false
 		}
-		s.recsLeft--
-		s.curIdx = s.nextIdx
-		s.nextIdx++
-		if s.rowFilter != nil && !s.rowFilter.matchesRow(s.rec) {
-			s.filtered++
-			continue
-		}
-		s.valid = true
-		return true
+		s.batch = s.blocks.Batch()
+		s.pos = 0
+		s.batch.ZeroUndecoded(s.rec)
 	}
-}
-
-// decodeRow decodes (or skips, per the field mask) every field of the next
-// row in the loaded block, dispatching on the block layout: columnar (v4,
-// one cursor per field segment) or row-interleaved (v2/v3, one cursor).
-func (s *Scanner) decodeRow() bool {
-	if s.r.version >= 4 {
-		return s.decodeRowColumnar()
-	}
-	for i := 0; i < s.r.schema.NumFields(); i++ {
-		var (
-			n   int
-			err error
-		)
-		if s.decode != nil && !s.decode[i] {
-			n, err = s.skipField(i)
-			if err != nil {
-				s.err = s.fieldCorrupt(i, err)
-				return false
-			}
-			s.pos += n
-			continue
-		}
-		// Fields decode in place into the reused record's slots; plain
-		// fields use the shared (aliasing) decode, whose string/bytes
-		// datums point into the block buffer. Both stay intact exactly
-		// until the next Next that crosses a block boundary, which is what
-		// the "valid until the next Next" contract buys.
-		slot := s.rec.Slot(i)
-		switch s.r.encodings[i] {
-		case EncodePlain:
-			n, err = serde.DecodeValueSharedInto(s.r.schema.Field(i).Kind, s.buf[s.pos:], slot)
-		case EncodeDelta:
-			*slot, n, err = s.deltas[i].Decode(s.buf[s.pos:])
-		case EncodeDict:
-			var code uint64
-			code, n = binary.Uvarint(s.buf[s.pos:])
-			if n <= 0 {
-				err = fmt.Errorf("truncated dict code")
-			} else if s.r.DirectCodes {
-				*slot = serde.String(compress.CodeString(code))
-			} else {
-				var term string
-				term, err = s.r.dicts[i].Decode(code)
-				*slot = serde.String(term)
-			}
-		default:
-			err = fmt.Errorf("unknown encoding %d", s.r.encodings[i])
-		}
-		if err != nil {
-			s.err = s.fieldCorrupt(i, err)
-			return false
-		}
-		s.pos += n
-	}
+	row := int(s.batch.Sel()[s.pos])
+	s.pos++
+	s.batch.MaterializeDecodedInto(s.rec, row)
+	s.idx = s.batch.Base() + int64(row)
+	s.valid = true
 	return true
-}
-
-// decodeRowColumnar decodes the next row of a columnar (v4) block: each
-// field advances its own segment cursor, and masked fields are not touched
-// at all — their segments are simply never visited, which is the layout's
-// point. Delta chains are per-field within a segment, so skipping a masked
-// delta field costs nothing either.
-func (s *Scanner) decodeRowColumnar() bool {
-	for i := 0; i < s.r.schema.NumFields(); i++ {
-		if s.decode != nil && !s.decode[i] {
-			continue
-		}
-		var (
-			n   int
-			err error
-		)
-		slot := s.rec.Slot(i)
-		switch s.r.encodings[i] {
-		case EncodePlain:
-			n, err = serde.DecodeValueSharedInto(s.r.schema.Field(i).Kind, s.buf[s.fieldPos[i]:], slot)
-		case EncodeDelta:
-			*slot, n, err = s.deltas[i].Decode(s.buf[s.fieldPos[i]:])
-		case EncodeDict:
-			var code uint64
-			code, n = binary.Uvarint(s.buf[s.fieldPos[i]:])
-			if n <= 0 {
-				err = fmt.Errorf("truncated dict code")
-			} else if s.r.DirectCodes {
-				*slot = serde.String(compress.CodeString(code))
-			} else {
-				var term string
-				term, err = s.r.dicts[i].Decode(code)
-				*slot = serde.String(term)
-			}
-		default:
-			err = fmt.Errorf("unknown encoding %d", s.r.encodings[i])
-		}
-		if err != nil {
-			s.err = s.fieldCorrupt(i, err)
-			return false
-		}
-		s.fieldPos[i] += n
-	}
-	return true
-}
-
-// skipField advances past one masked field without materializing a value:
-// plain fields skip at the encoding level, delta fields advance the chain
-// state (blocks are delta chains, so the running value must stay current),
-// dict fields skip the code varint without touching the dictionary.
-func (s *Scanner) skipField(i int) (int, error) {
-	switch s.r.encodings[i] {
-	case EncodePlain:
-		return serde.SkipValue(s.r.schema.Field(i).Kind, s.buf[s.pos:])
-	case EncodeDelta:
-		return s.deltas[i].Skip(s.buf[s.pos:])
-	case EncodeDict:
-		_, n := binary.Uvarint(s.buf[s.pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("truncated dict code")
-		}
-		return n, nil
-	default:
-		return 0, fmt.Errorf("unknown encoding %d", s.r.encodings[i])
-	}
-}
-
-// fieldCorrupt reports a decode failure for field i of the current block
-// as a CorruptBlockError: the block's bytes could not be interpreted, so
-// retrying the read cannot help (the error classifies permanent).
-func (s *Scanner) fieldCorrupt(i int, err error) error {
-	return s.r.corruptBlock(s.curBlock, fmt.Errorf("field %q: %w", s.r.schema.Field(i).Name, err))
-}
-
-// flushFiltered publishes the per-block residual-drop count to the reader.
-func (s *Scanner) flushFiltered() {
-	if s.filtered > 0 {
-		s.r.rowsFiltered.Add(s.filtered)
-		s.filtered = 0
-	}
 }
 
 // RecordIndex returns the current record's position in the WHOLE file
 // (counting records in skipped blocks and residual-dropped rows), so
 // callers keying records by position see identical keys with and without
 // pruning. Valid after a successful Next.
-func (s *Scanner) RecordIndex() int64 { return s.curIdx }
+func (s *Scanner) RecordIndex() int64 { return s.idx }
 
-func (s *Scanner) loadBlock(i int) error {
-	s.flushFiltered()
-	payload, recs, raw, err := s.r.readBlockPayload(i, s.raw)
-	if err != nil {
-		return err
+// Record returns the current record after a successful Next. The returned
+// record is reused by the scanner: it is valid only until the next call to
+// Next. Callers that retain it (or datums extracted from its string/bytes
+// fields) past that point must Clone it.
+func (s *Scanner) Record() *serde.Record {
+	if !s.valid {
+		return nil
 	}
-	s.curBlock = i
-	s.raw = raw
-	s.buf = payload
-	s.pos = 0
-	s.recsLeft = recs
-	if s.r.version >= 4 {
-		segStart, err := s.r.parseSegments(i, payload, s.fieldPos)
-		if err != nil {
-			return err
-		}
-		// fieldPos currently holds segment LENGTHS; turn them into each
-		// segment's starting cursor within the payload.
-		pos := segStart
-		for f, segLen := range s.fieldPos {
-			s.fieldPos[f] = pos
-			pos += segLen
-		}
-	}
-	for _, d := range s.deltas {
-		if d != nil {
-			d.Reset()
-		}
-	}
-	return nil
+	return s.rec
+}
+
+// Err returns the first error encountered while scanning.
+func (s *Scanner) Err() error { return s.blocks.Err() }
+
+// Close releases the underlying block iterator: a shared-scan subscription
+// detaches from its group (which stalls until it does); a private scan
+// holds nothing.
+func (s *Scanner) Close() error {
+	s.valid = false
+	return s.blocks.Close()
 }
 
 // readBlockPayload reads block i into raw (grown as needed) and parses the
 // block header, returning the payload, the record count, and the (possibly
 // reallocated) raw buffer. It accounts the read in the bytes/blocks-read
-// counters; both the row scanner and the batch scanner load blocks through
-// it, so their counter behavior is identical by construction.
+// counters.
 func (r *Reader) readBlockPayload(i int, raw []byte) ([]byte, int64, []byte, error) {
 	b := r.blocks[i]
 	// The injection key is only materialized when an injector is installed:
@@ -628,47 +425,16 @@ func (r *Reader) readBlockPayload(i int, raw []byte) ([]byte, int64, []byte, err
 	if n2 <= 0 {
 		return nil, 0, raw, r.corruptBlock(i, fmt.Errorf("truncated record count"))
 	}
+	// The count sizes the decoder's column vectors, so it must agree with
+	// the footer's, and every row of a non-empty schema takes payload bytes.
+	if int64(recs) != b.records || (r.schema.NumFields() > 0 && recs > payloadLen) {
+		return nil, 0, raw, r.corruptBlock(i, fmt.Errorf("record count %d does not fit block", recs))
+	}
 	if int64(n1+n2)+int64(payloadLen) != b.length {
 		return nil, 0, raw, r.corruptBlock(i, fmt.Errorf("block length mismatch"))
 	}
 	return raw[n1+n2:], int64(recs), raw, nil
 }
-
-// parseSegments parses a columnar (v4) payload's segment-length table into
-// segLens (one entry per schema field), returning the offset of the first
-// segment within the payload. Segment lengths must exactly tile the rest of
-// the payload.
-func (r *Reader) parseSegments(i int, payload []byte, segLens []int) (int, error) {
-	pos := 0
-	total := 0
-	for f := range segLens {
-		v, n := binary.Uvarint(payload[pos:])
-		if n <= 0 {
-			return 0, r.corruptBlock(i, fmt.Errorf("truncated segment table"))
-		}
-		segLens[f] = int(v)
-		total += int(v)
-		pos += n
-	}
-	if pos+total != len(payload) {
-		return 0, r.corruptBlock(i, fmt.Errorf("segment lengths do not tile payload"))
-	}
-	return pos, nil
-}
-
-// Record returns the current record after a successful Next. The returned
-// record is reused by the scanner: it is valid only until the next call to
-// Next. Callers that retain it (or datums extracted from its string/bytes
-// fields) past that point must Clone it.
-func (s *Scanner) Record() *serde.Record {
-	if !s.valid {
-		return nil
-	}
-	return s.rec
-}
-
-// Err returns the first error encountered while scanning.
-func (s *Scanner) Err() error { return s.err }
 
 // ReadAll is a convenience that scans the whole file into memory.
 func ReadAll(path string) ([]*serde.Record, *serde.Schema, error) {

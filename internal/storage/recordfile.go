@@ -18,13 +18,12 @@
 // order. Within its segment, plain fields use the kind-implied serde value
 // encoding, delta fields a zigzag-varint difference chain reset per block,
 // dict fields a uvarint dictionary code. Per-field segments are what make
-// batch scans cheap — a masked or filtered-on field is one contiguous
-// slice, bulk-decodable without stepping over its neighbors — and let row
-// scans skip masked fields entirely via the segment lengths. Files sealed
-// with the "MANIMAL3" trailer (format v3) interleave rows field by field
-// within one payload (no segment lengths) and remain fully readable by the
-// row-at-a-time scanner. The footer (located via the fixed-size trailer)
-// holds:
+// scans cheap — a masked or filtered-on field is one contiguous slice,
+// bulk-decodable without stepping over its neighbors, and a masked field
+// is never touched. Files sealed with the "MANIMAL3" trailer (format v3)
+// interleave rows field by field within one payload (no segment lengths)
+// and remain fully readable: the scanner gathers each field's values into
+// a segment first. The footer (located via the fixed-size trailer) holds:
 //
 //	uvarint numBlocks
 //	per block:  uvarint offset | uvarint length | uvarint records
@@ -58,21 +57,20 @@
 // FormatVersion 2 and HasStats false, and every scan simply proceeds
 // unpruned.
 //
-// # Batch scans
+// # Scans
 //
-// Reader.ScanBatch is the batch-at-a-time counterpart of ScanPushdown for
-// v4 (columnar) files: each surviving block's unmasked fields bulk-decode
-// into one reused serde.Batch of flat column vectors, the residual filter
-// runs as vectorized kernels producing a selection vector, and rows are
-// only materialized (into a caller-reused record) on demand — late
-// materialization. The two paths are EQUIVALENT by contract: identical
-// surviving rows, values, record indices, and pruning counters; the
-// differential suites pin this. Everything borrowed from the batch is
-// valid only until the scanner's next batch (see serde.Vector).
+// BatchScanner (Reader.ScanBatch) is the one block decoder: each surviving
+// block's unmasked fields bulk-decode into one reused serde.Batch of flat
+// column vectors, the residual filter runs as vectorized kernels producing
+// a selection vector, and rows are only materialized (into a caller-reused
+// record) on demand — late materialization. Scanner (Reader.ScanPushdown,
+// ScanAll, SharedScanner.Rows) is the per-row view over a batch iterator.
+// Everything borrowed from a batch is valid only until the scanner's next
+// batch (see serde.Vector).
 //
 // # Scan pushdown
 //
-// Scanner accepts a Pushdown (block-level zone-map filter, per-row
+// Both accept a Pushdown (block-level zone-map filter, per-row
 // residual filter, used-field decode mask). Ownership of LEGALITY sits
 // with the planner (package optimizer): skipping blocks or rows elides
 // map() invocations — admissible exactly when the paper's selection
@@ -84,8 +82,8 @@
 //
 // # Buffer ownership
 //
-// Scanner runs allocation-free by decoding every row into one reused
-// record whose string/bytes fields alias a reused block buffer: the record
+// Scanner runs allocation-free by materializing every row into one reused
+// record whose string/bytes fields alias the reused batch: the record
 // returned by Scanner.Record (and any datum read out of it) is valid only
 // until the next call to Next. Callers that retain records across
 // iterations — collecting into a slice, building a MemInput, buffering on

@@ -126,9 +126,10 @@ const maxCatchupFraction = 2
 
 // Subscribe attaches a scan over blocks [lo, hi) of r's file to a shared
 // group, creating the group (and its producer goroutine) when none exists.
-// It returns (nil, false) when the scan cannot share: non-columnar file,
-// a non-residual filter (the subscriber could not re-drop union-admitted
-// rows), an unfingerprintable file, or a group too far ahead to catch up.
+// It returns (nil, false) when the scan cannot share: a nil registry, an
+// empty range, a non-residual filter (the subscriber could not re-drop
+// union-admitted rows), an unfingerprintable file, or a group too far
+// ahead to catch up.
 // The returned scanner implements the batch iteration shape (Next, Batch,
 // Err, Close); Close detaches from the group and MUST be called on every
 // path, or the group stalls.
@@ -141,7 +142,7 @@ func (sh *ScanShare) Subscribe(r *Reader, lo, hi int, pd *Pushdown) (*SharedScan
 // private and is not counted as a shared scan of its reader, so one map
 // scan contributes at most one to the shared-scan statistic.
 func (sh *ScanShare) subscribe(r *Reader, lo, hi int, pd *Pushdown, top bool) (*SharedScanner, bool) {
-	if sh == nil || r.FormatVersion() < 4 || lo >= hi {
+	if sh == nil || lo >= hi {
 		return nil, false
 	}
 	if pd != nil && pd.Filter != nil && !pd.Residual {
@@ -460,17 +461,18 @@ func (g *shareGroup) run() {
 			return
 		}
 		if sc == nil || g.dirty {
+			// Reopen under the lock (ScanBatch does no I/O): a subscriber
+			// attaching between computing the union and marking the scan
+			// in flight would otherwise get neither a catch-up scan nor a
+			// place in the union, and lose the blocks the stale union skips.
 			pd := unionPushdown(g.filters)
 			g.dirty = false
-			start := g.nextBlock
-			g.mu.Unlock()
 			scFkey = ""
 			if pd != nil && pd.Filter != nil {
 				scFkey = filterKey(pd.Filter)
 			}
-			sc, err = r.ScanBatch(start, g.key.hi, pd)
+			sc, err = r.ScanBatch(g.nextBlock, g.key.hi, pd)
 			if err != nil {
-				g.mu.Lock()
 				g.finishLocked(err)
 				g.mu.Unlock()
 				return
@@ -478,7 +480,6 @@ func (g *shareGroup) run() {
 			sc.publishEmpty = true
 			prevSkipped = r.blocksSkipped.Load()
 			prevBytes = r.bytesRead.Load()
-			g.mu.Lock()
 		}
 		g.scanning = true
 		g.mu.Unlock()
@@ -517,13 +518,14 @@ func (g *shareGroup) run() {
 	}
 }
 
-// blockIter is the batch iteration shape a catch-up scan serves: a private
-// BatchScanner, or a nested SharedScanner when the prefix is shared with
-// other late joiners.
+// blockIter is the batch iteration shape every scan serves: a private
+// BatchScanner, or a SharedScanner riding a shared physical scan. The row
+// Scanner and a late joiner's catch-up scan consume either.
 type blockIter interface {
 	Next() bool
 	Batch() *serde.Batch
 	Err() error
+	Close() error
 }
 
 // SharedScanner is one subscriber's view of a shared physical scan. It
@@ -628,6 +630,10 @@ func (m *SharedScanner) Next() bool {
 // valid only until the next call to Next.
 func (m *SharedScanner) Batch() *serde.Batch { return m.cur }
 
+// Rows returns the subscription as a per-row Scanner. Closing the Scanner
+// closes the subscription.
+func (m *SharedScanner) Rows() *Scanner { return newScanner(m, m.r.schema) }
+
 // Err returns the first error encountered (the producer's scan error, or a
 // catch-up scan error).
 func (m *SharedScanner) Err() error { return m.err }
@@ -655,20 +661,20 @@ func (m *SharedScanner) detachLocked() {
 }
 
 // Close detaches from the group. Every Subscribe must be Closed (the
-// engine closes batch iterators on all paths); an unreleased subscriber
-// would stall the whole group.
+// engine closes its record iterators on all paths); an unreleased
+// subscriber would stall the whole group.
 func (m *SharedScanner) Close() error {
 	if m.closed {
 		return nil
 	}
 	m.closed = true
 	m.cur = nil
-	if c, ok := m.catch.(*SharedScanner); ok {
+	if m.catch != nil {
 		// A nested catch-up subscription must detach from its group too, or
 		// it would stall the other catch-up members.
-		c.Close()
+		m.catch.Close()
+		m.catch = nil
 	}
-	m.catch = nil
 	m.g.mu.Lock()
 	m.detachLocked()
 	m.g.mu.Unlock()

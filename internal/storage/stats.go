@@ -313,24 +313,6 @@ func envelopeMisses(s *FieldStats, iv predicate.Interval) bool {
 	return false
 }
 
-// matchesRow is the residual filter: true when some conjunct admits every
-// bounded (decoded) field value of the current row.
-func (cf *compiledFilter) matchesRow(rec *serde.Record) bool {
-	for _, bounds := range cf.conjuncts {
-		all := true
-		for _, b := range bounds {
-			if !b.iv.Contains(rec.At(b.field)) {
-				all = false
-				break
-			}
-		}
-		if all {
-			return true
-		}
-	}
-	return false
-}
-
 // SkippableBlocks evaluates the filter against every block's stats,
 // returning the skippable mask and count. Files without stats return an
 // all-false mask. Planners use this for split pruning and selectivity

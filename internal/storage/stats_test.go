@@ -385,7 +385,8 @@ func TestPreStatsCompat(t *testing.T) {
 
 // TestPreStatsFixturePinned reads the committed pre-stats fixture — bytes
 // written before this format existed — so compatibility is pinned against
-// a real artifact, not just the replica writer above.
+// a real artifact, not just the replica writer above: through ReadAll (the
+// Scanner view) and directly through ScanBatch, whole and field-masked.
 func TestPreStatsFixturePinned(t *testing.T) {
 	path := filepath.Join("testdata", "prestats-v2.rec")
 	r, err := Open(path)
@@ -408,6 +409,15 @@ func TestPreStatsFixturePinned(t *testing.T) {
 		if r.Get("url").S != fmt.Sprintf("row-%03d", i) || r.Get("ts").I != int64(i) || r.Get("score").F != float64(i)/2 {
 			t.Fatalf("fixture record %d = %s", i, r)
 		}
+	}
+	for _, pd := range []*Pushdown{nil, {Fields: []string{"ts"}}} {
+		br, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotIdx, st := batchScanCollect(t, br, pd)
+		requireScan(t, recs, br, pd, got, gotIdx, st)
+		br.Close()
 	}
 }
 
