@@ -627,7 +627,15 @@ func Map(k, v *Record, ctx *Ctx) {
 // System is constructed after the populating run, so the closing
 // high-water check pins the acceptance criterion that cache hits occupy
 // zero scheduler task slots.
-func BenchmarkResultCacheHit(b *testing.B) {
+func BenchmarkResultCacheHit(b *testing.B) { benchResultCacheHit(b, 0) }
+
+// BenchmarkResultCacheHitLargeCatalog is BenchmarkResultCacheHit with 500
+// more result-cache entries registered in the catalog first, about what a
+// busy system holds: a hit's lookup and hit-count update must not grow
+// with the catalog.
+func BenchmarkResultCacheHitLargeCatalog(b *testing.B) { benchResultCacheHit(b, 500) }
+
+func benchResultCacheHit(b *testing.B, extraEntries int) {
 	dir := b.TempDir()
 	data := filepath.Join(dir, "webpages.rec")
 	if err := workload.NewGen(23).WriteWebPages(data, 20000, 64); err != nil {
@@ -667,6 +675,22 @@ func Map(k, v *Record, ctx *Ctx) {
 	sys, err := manimal.NewSystemWith(sysDir, manimal.Options{SchedulerSlots: 2})
 	if err != nil {
 		b.Fatal(err)
+	}
+	st, err := os.Stat(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fp := catalog.CacheInput{Path: data, SizeBytes: st.Size(), ModTimeNanos: st.ModTime().UnixNano()}
+	for i := 0; i < extraEntries; i++ {
+		key := fmt.Sprintf("%064x", i)
+		if err := sys.Catalog().Add(catalog.Entry{
+			InputPath: data, IndexPath: filepath.Join(sysDir, "cache", key+".kv"),
+			Kind: catalog.KindResultCache, SizeBytes: 4096, CreatedAt: time.Now(), CacheKey: key,
+			CacheInputs: []catalog.CacheInput{fp}, InputSizeBytes: fp.SizeBytes,
+			InputModTimeNanos: fp.ModTimeNanos, OutputRecords: 100,
+		}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,15 +1,28 @@
 // Package catalog is Manimal's persistent index catalog (paper Figure 1):
 // it records, for each input file, the index files that index-generation
-// programs have produced, so the optimizer can choose an execution plan.
-// Entries are stored as a JSON file in the catalog directory, mirroring the
-// "filesystem catalog" of the paper.
+// programs have produced, so the optimizer can choose an execution plan,
+// and the committed job outputs the result cache serves.
+//
+// The catalog lives in its directory as a JSON snapshot
+// (manimal-catalog.json, the "filesystem catalog" of the paper) plus an
+// append-only log (manimal-catalog.json.log). Every mutation appends one
+// JSON op line to the log and fsyncs it before returning, so a result-cache
+// store or hit costs one small append however many entries the catalog
+// holds. Once the log holds more than 2×entries+64 ops it is compacted: the
+// snapshot is rewritten atomically (temp file, fsync, rename, directory
+// fsync) and the log truncated. Every op is idempotent against a snapshot
+// that already contains it, so a crash between that rename and the
+// truncate replays to the same entries.
+//
+// Open only reads: it loads the snapshot and replays the log up to its last
+// complete line, ignoring a torn tail, which the first mutation cuts off.
+// Read-only tools (`manimal catalog`, `manimal cache`) can therefore open a
+// directory that a running `manimal serve` is writing. Writers are not
+// coordinated across processes: one process mutates a directory at a time.
 package catalog
 
 import (
-	"encoding/json"
-	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -137,92 +150,58 @@ func (e *Entry) CoversFields(names []string) bool {
 	return true
 }
 
-// Catalog is a concurrency-safe persistent entry store.
+// Catalog is a concurrency-safe persistent entry store. Entries keep
+// registration order; byIndex and byKey map an IndexPath and a result-cache
+// key to the entry's position, so a cache lookup, store or hit does not
+// scan the catalog.
 type Catalog struct {
 	mu      sync.Mutex
-	path    string
 	entries []Entry
+	byIndex map[string]int
+	byKey   map[string]int
+	log     logState
 }
 
-const fileName = "manimal-catalog.json"
-
-// Open loads (or initializes) the catalog in the given directory.
-func Open(dir string) (*Catalog, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("catalog: %w", err)
-	}
-	c := &Catalog{path: filepath.Join(dir, fileName)}
-	raw, err := os.ReadFile(c.path)
-	if os.IsNotExist(err) {
-		return c, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("catalog: %w", err)
-	}
-	if err := json.Unmarshal(raw, &c.entries); err != nil {
-		return nil, fmt.Errorf("catalog: corrupt %s: %w", c.path, err)
-	}
-	return c, nil
-}
-
-// Add registers an entry and persists the catalog. A prior entry with the
-// same IndexPath is replaced.
+// Add registers an entry and persists it. A prior entry with the same
+// IndexPath is replaced.
 func (c *Catalog) Add(e Entry) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	kept := c.entries[:0]
-	for _, old := range c.entries {
-		if old.IndexPath != e.IndexPath {
-			kept = append(kept, old)
-		}
-	}
-	c.entries = append(kept, e)
-	return c.save()
+	return c.commit(&logOp{Op: opAdd, Entry: &e})
 }
 
 // Remove drops the entry with the given index path, if present.
 func (c *Catalog) Remove(indexPath string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	kept := c.entries[:0]
-	for _, old := range c.entries {
-		if old.IndexPath != indexPath {
-			kept = append(kept, old)
-		}
+	if _, ok := c.byIndex[indexPath]; !ok {
+		return nil
 	}
-	c.entries = kept
-	return c.save()
+	return c.commit(&logOp{Op: opRemove, Index: indexPath})
 }
 
 // Quarantine marks the entry with the given index path as CORRUPT (with a
-// reason) and persists the catalog, so no later planning round selects the
-// damaged variant. Quarantining an unknown path is a no-op. The index file
-// itself is left on disk for inspection.
+// reason) and persists it, so no later planning round selects the damaged
+// variant. Quarantining an unknown or already quarantined path is a no-op.
+// The index file itself is left on disk for inspection.
 func (c *Catalog) Quarantine(indexPath, reason string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	changed := false
-	for i := range c.entries {
-		if c.entries[i].IndexPath == indexPath && c.entries[i].State != StateCorrupt {
-			c.entries[i].State = StateCorrupt
-			c.entries[i].StateReason = reason
-			changed = true
-		}
-	}
-	if !changed {
+	if i, ok := c.byIndex[indexPath]; !ok || c.entries[i].State == StateCorrupt {
 		return nil
 	}
-	return c.save()
+	return c.commit(&logOp{Op: opQuarantine, Index: indexPath, Reason: reason})
 }
 
-// ForInput returns the entries built over the given input file, most
-// recent first.
+// ForInput returns the index variants built over the given input file,
+// most recent first. Result-cache entries are not index variants and are
+// never returned: the optimizer cannot plan over them.
 func (c *Catalog) ForInput(inputPath string) []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []Entry
 	for _, e := range c.entries {
-		if e.InputPath == inputPath {
+		if e.InputPath == inputPath && e.Kind != KindResultCache {
 			out = append(out, e)
 		}
 	}
@@ -251,90 +230,91 @@ func (e *Entry) CacheFresh() bool {
 	return true
 }
 
-// FindCache returns the usable result-cache entry registered under key.
+// FindCache returns the result-cache entry registered last under key, if
+// it is usable.
 func (c *Catalog) FindCache(key string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := len(c.entries) - 1; i >= 0; i-- {
-		e := c.entries[i]
-		if e.Kind == KindResultCache && e.CacheKey == key && e.Usable() {
-			return e, true
-		}
+	i, ok := c.byKey[key]
+	if !ok || !c.entries[i].Usable() {
+		return Entry{}, false
 	}
-	return Entry{}, false
+	return c.entries[i], true
 }
 
 // TouchCache increments the hit count of the entry registered under key
-// and persists the catalog.
+// and persists it.
 func (c *Catalog) TouchCache(key string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := range c.entries {
-		if c.entries[i].Kind == KindResultCache && c.entries[i].CacheKey == key {
-			c.entries[i].Hits++
-			return c.save()
-		}
+	i, ok := c.byKey[key]
+	if !ok {
+		return nil
 	}
-	return nil
+	e := &c.entries[i]
+	return c.commit(&logOp{Op: opHits, Index: e.IndexPath, Hits: e.Hits + 1})
 }
 
 // EvictCache removes result-cache entries — all of them, or with staleOnly
 // just those whose input fingerprints no longer match (plus quarantined
 // ones) — and returns the removed entries so the caller can delete their
-// artifact files.
+// artifact files. On a persistence error nothing is removed.
 func (c *Catalog) EvictCache(staleOnly bool) ([]Entry, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var evicted []Entry
-	kept := c.entries[:0]
+	var (
+		evicted []Entry
+		paths   []string
+	)
 	for _, e := range c.entries {
 		if e.Kind == KindResultCache && (!staleOnly || !e.Usable() || !e.CacheFresh()) {
 			evicted = append(evicted, e)
-			continue
+			paths = append(paths, e.IndexPath)
 		}
-		kept = append(kept, e)
 	}
-	c.entries = kept
 	if len(evicted) == 0 {
 		return nil, nil
 	}
-	return evicted, c.save()
+	if err := c.commit(&logOp{Op: opEvict, Indexes: paths}); err != nil {
+		return nil, err
+	}
+	return evicted, nil
 }
 
-// save persists atomically: temp file, fsync, rename, parent-dir fsync —
-// a crash mid-save leaves either the old catalog or the new one, never a
-// torn JSON file.
-func (c *Catalog) save() error {
-	raw, err := json.MarshalIndent(c.entries, "", "  ")
-	if err != nil {
-		return fmt.Errorf("catalog: %w", err)
+// put appends e, replacing any entry with the same IndexPath. A new path
+// costs O(1); a replacement re-indexes.
+func (c *Catalog) put(e Entry) {
+	if _, ok := c.byIndex[e.IndexPath]; ok {
+		c.drop(func(old *Entry) bool { return old.IndexPath == e.IndexPath })
 	}
-	dir := filepath.Dir(c.path)
-	f, err := os.CreateTemp(dir, fileName+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("catalog: %w", err)
+	c.index(e, len(c.entries))
+	c.entries = append(c.entries, e)
+}
+
+// drop removes every entry gone reports and rebuilds the position maps.
+func (c *Catalog) drop(gone func(*Entry) bool) {
+	kept := c.entries[:0]
+	for i := range c.entries {
+		if !gone(&c.entries[i]) {
+			kept = append(kept, c.entries[i])
+		}
 	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return fmt.Errorf("catalog: %w", err)
+	clear(c.entries[len(kept):])
+	c.entries = kept
+	c.reindex()
+}
+
+func (c *Catalog) reindex() {
+	c.byIndex = make(map[string]int, len(c.entries))
+	c.byKey = make(map[string]int)
+	for i, e := range c.entries {
+		c.index(e, i)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return fmt.Errorf("catalog: %w", err)
+}
+
+func (c *Catalog) index(e Entry, pos int) {
+	c.byIndex[e.IndexPath] = pos
+	if e.Kind == KindResultCache {
+		c.byKey[e.CacheKey] = pos
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if err := os.Rename(f.Name(), c.path); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }

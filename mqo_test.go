@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -438,4 +439,74 @@ func TestResultCacheEviction(t *testing.T) {
 	if n := len(cacheEntries()); n != 0 {
 		t.Errorf("cache entries after full eviction = %d, want 0", n)
 	}
+}
+
+// TestPlanNotesOmitResultCacheEntries: result-cache entries are not index
+// variants, so no plan over their input carries a note about one — not
+// while one is quarantined, and not after an input rewrite has made every
+// cached result of that input stale.
+func TestPlanNotesOmitResultCacheEntries(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "webpages.rec")
+	if err := workload.NewGen(47).WriteWebPages(data, 3000, 64); err != nil {
+		t.Fatal(err)
+	}
+	prog := mustProgram(t, "count", countProgram)
+	sysDir := filepath.Join(dir, "sys")
+	sys, err := manimal.NewSystem(sysDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(name string, threshold int64) *manimal.JobReport {
+		t.Helper()
+		s := mqoSpec(prog, data, name, filepath.Join(dir, name+".kv"), threshold)
+		s.StartupDelay = 0
+		r, err := sys.Submit(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	checkNotes := func(stage string, r *manimal.JobReport) {
+		t.Helper()
+		if kind := r.Inputs[0].Plan.Kind; kind == manimal.PlanCached {
+			t.Fatalf("%s: plan = %s, want an executed plan", stage, kind)
+		}
+		for _, note := range r.Inputs[0].Plan.Notes {
+			if strings.Contains(note, catalog.KindResultCache) || strings.Contains(note, filepath.Join(sysDir, "cache")) {
+				t.Errorf("%s: plan note names a result-cache entry: %s", stage, note)
+			}
+		}
+	}
+
+	const cached = 3
+	for i := 0; i < cached; i++ {
+		submit(fmt.Sprint("seed", i), int64(1000+500*i))
+	}
+	// Quarantine one entry the way serveCached does on a damaged artifact.
+	first := sys.Catalog().All()[0]
+	if first.Kind != catalog.KindResultCache {
+		t.Fatalf("first catalog entry is %s, want %s", first.Kind, catalog.KindResultCache)
+	}
+	if err := sys.Catalog().Quarantine(first.IndexPath, "cached artifact size mismatch"); err != nil {
+		t.Fatal(err)
+	}
+	checkNotes("quarantined entry", submit("after-quarantine", 2250))
+
+	if err := workload.NewGen(48).WriteWebPages(data, 3200, 64); err != nil {
+		t.Fatal(err)
+	}
+	total, stale := 0, 0
+	for _, e := range sys.Catalog().All() {
+		if e.Kind == catalog.KindResultCache {
+			total++
+			if !e.CacheFresh() {
+				stale++
+			}
+		}
+	}
+	if total <= cached || stale != total {
+		t.Fatalf("after the rewrite: %d of %d result-cache entries stale, want all of more than %d", stale, total, cached)
+	}
+	checkNotes("stale entries", submit("after-rewrite", 2750))
 }
