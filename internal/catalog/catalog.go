@@ -14,11 +14,15 @@
 // that already contains it, so a crash between that rename and the
 // truncate replays to the same entries.
 //
-// Open only reads: it loads the snapshot and replays the log up to its last
-// complete line, ignoring a torn tail, which the first mutation cuts off.
+// Open only reads: under a shared lock on the log it loads the snapshot and
+// replays the log up to its last complete line, ignoring a torn tail.
 // Read-only tools (`manimal catalog`, `manimal cache`) can therefore open a
-// directory that a running `manimal serve` is writing. Writers are not
-// coordinated across processes: one process mutates a directory at a time.
+// directory that a running `manimal serve` is writing. Writers in several
+// processes (`serve` next to `cache -evict`, say) serialize on an exclusive
+// lock of the log: a mutation first replays the ops other processes
+// appended, reloading everything if one of them compacted, and cuts a torn
+// tail off before it appends its own op. An instance's reads see other
+// processes' writes from its next mutation on.
 package catalog
 
 import (
@@ -167,17 +171,19 @@ type Catalog struct {
 func (c *Catalog) Add(e Entry) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.commit(&logOp{Op: opAdd, Entry: &e})
+	return c.mutate(func() *logOp { return &logOp{Op: opAdd, Entry: &e} })
 }
 
 // Remove drops the entry with the given index path, if present.
 func (c *Catalog) Remove(indexPath string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.byIndex[indexPath]; !ok {
-		return nil
-	}
-	return c.commit(&logOp{Op: opRemove, Index: indexPath})
+	return c.mutate(func() *logOp {
+		if _, ok := c.byIndex[indexPath]; !ok {
+			return nil
+		}
+		return &logOp{Op: opRemove, Index: indexPath}
+	})
 }
 
 // Quarantine marks the entry with the given index path as CORRUPT (with a
@@ -187,10 +193,12 @@ func (c *Catalog) Remove(indexPath string) error {
 func (c *Catalog) Quarantine(indexPath, reason string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i, ok := c.byIndex[indexPath]; !ok || c.entries[i].State == StateCorrupt {
-		return nil
-	}
-	return c.commit(&logOp{Op: opQuarantine, Index: indexPath, Reason: reason})
+	return c.mutate(func() *logOp {
+		if i, ok := c.byIndex[indexPath]; !ok || c.entries[i].State == StateCorrupt {
+			return nil
+		}
+		return &logOp{Op: opQuarantine, Index: indexPath, Reason: reason}
+	})
 }
 
 // ForInput returns the index variants built over the given input file,
@@ -247,12 +255,14 @@ func (c *Catalog) FindCache(key string) (Entry, bool) {
 func (c *Catalog) TouchCache(key string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i, ok := c.byKey[key]
-	if !ok {
-		return nil
-	}
-	e := &c.entries[i]
-	return c.commit(&logOp{Op: opHits, Index: e.IndexPath, Hits: e.Hits + 1})
+	return c.mutate(func() *logOp {
+		i, ok := c.byKey[key]
+		if !ok {
+			return nil
+		}
+		e := &c.entries[i]
+		return &logOp{Op: opHits, Index: e.IndexPath, Hits: e.Hits + 1}
+	})
 }
 
 // EvictCache removes result-cache entries — all of them, or with staleOnly
@@ -262,20 +272,21 @@ func (c *Catalog) TouchCache(key string) error {
 func (c *Catalog) EvictCache(staleOnly bool) ([]Entry, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var (
-		evicted []Entry
-		paths   []string
-	)
-	for _, e := range c.entries {
-		if e.Kind == KindResultCache && (!staleOnly || !e.Usable() || !e.CacheFresh()) {
-			evicted = append(evicted, e)
-			paths = append(paths, e.IndexPath)
+	var evicted []Entry
+	err := c.mutate(func() *logOp {
+		var paths []string
+		for _, e := range c.entries {
+			if e.Kind == KindResultCache && (!staleOnly || !e.Usable() || !e.CacheFresh()) {
+				evicted = append(evicted, e)
+				paths = append(paths, e.IndexPath)
+			}
 		}
-	}
-	if len(evicted) == 0 {
-		return nil, nil
-	}
-	if err := c.commit(&logOp{Op: opEvict, Indexes: paths}); err != nil {
+		if len(paths) == 0 {
+			return nil
+		}
+		return &logOp{Op: opEvict, Indexes: paths}
+	})
+	if err != nil {
 		return nil, err
 	}
 	return evicted, nil

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 )
 
 const (
@@ -18,9 +19,6 @@ const (
 	// 2×entries+compactSlack ops, which bounds it to a small multiple of
 	// the snapshot's size.
 	compactSlack = 64
-	// openRetries bounds how often Open re-reads a catalog that another
-	// process compacted while it was reading.
-	openRetries = 3
 )
 
 // ErrCorrupt marks a snapshot or a complete log line that cannot be
@@ -53,13 +51,14 @@ type logOp struct {
 type logState struct {
 	snapPath string
 	logPath  string
-	// size is the length of the log's complete ops; ops counts them.
+	// snap is the snapshot file the entries were loaded from or last
+	// compacted into (nil when there was none). A compaction in another
+	// process replaces it, which tells the next mutation to reload.
+	snap os.FileInfo
+	// size is the length of the log's complete ops that the entries
+	// include; ops counts them.
 	size int64
 	ops  int
-	// checkTail is set until the first append, and again after a failed
-	// one: the file may then hold bytes past size (a torn line) that must
-	// be cut off before the next op lands behind them.
-	checkTail bool
 }
 
 // Open loads the catalog in the given directory: the snapshot, then the
@@ -68,21 +67,30 @@ type logState struct {
 func Open(dir string) (*Catalog, error) {
 	snap := filepath.Join(dir, fileName)
 	c := &Catalog{log: logState{snapPath: snap, logPath: snap + logSuffix}}
-	// A compaction in another process renames a new snapshot in, then
-	// truncates the log. A reader that took the old snapshot and the
-	// truncated log would miss the ops in between, so the snapshot must be
-	// the same file after the log was read; otherwise the load restarts.
-	for attempt := 1; ; attempt++ {
-		before, err := c.load()
-		if err != nil {
-			return nil, err
-		}
-		after, err := os.Stat(snap)
-		if err != nil && !os.IsNotExist(err) {
+	// A shared lock on the log keeps writers from appending or compacting
+	// while the snapshot and the log are read. Without a log there is
+	// nothing to pair the snapshot with: it alone is a complete state.
+	f, err := os.Open(c.log.logPath)
+	switch {
+	case os.IsNotExist(err): // f is nil
+	case err != nil:
+		return nil, fmt.Errorf("catalog: %w", err)
+	default:
+		defer f.Close()
+		if err := flock(f, syscall.LOCK_SH); err != nil {
 			return nil, fmt.Errorf("catalog: %w", err)
 		}
-		if sameSnapshot(before, after) || attempt == openRetries {
-			return c, nil
+	}
+	if err := c.load(f); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+func flock(f *os.File, how int) error {
+	for {
+		if err := syscall.Flock(int(f.Fd()), how); err != syscall.EINTR {
+			return err
 		}
 	}
 }
@@ -94,49 +102,61 @@ func sameSnapshot(a, b os.FileInfo) bool {
 	return os.SameFile(a, b) && a.Size() == b.Size() && a.ModTime().Equal(b.ModTime())
 }
 
-// load reads the snapshot and replays the log into c, returning the
-// snapshot's file info (nil when there is none).
-func (c *Catalog) load() (os.FileInfo, error) {
-	c.entries = nil
-	c.reindex()
-	c.log.size, c.log.ops, c.log.checkTail = 0, 0, true
-
-	var snapInfo os.FileInfo
-	f, err := os.Open(c.log.snapPath)
+// load replaces the entries with the snapshot plus the ops in the log f
+// (nil when there is none). On an error c is left as it was.
+func (c *Catalog) load(f *os.File) error {
+	fresh := &Catalog{log: logState{snapPath: c.log.snapPath, logPath: c.log.logPath}}
+	fresh.reindex()
+	sf, err := os.Open(fresh.log.snapPath)
 	switch {
 	case os.IsNotExist(err):
 	case err != nil:
-		return nil, fmt.Errorf("catalog: %w", err)
+		return fmt.Errorf("catalog: %w", err)
 	default:
-		raw, err := io.ReadAll(f)
+		raw, err := io.ReadAll(sf)
 		if err == nil {
-			snapInfo, err = f.Stat()
+			fresh.log.snap, err = sf.Stat()
 		}
-		f.Close()
+		sf.Close()
 		if err != nil {
-			return nil, fmt.Errorf("catalog: %w", err)
+			return fmt.Errorf("catalog: %w", err)
 		}
 		var entries []Entry
 		if err := json.Unmarshal(raw, &entries); err != nil {
-			return nil, fmt.Errorf("%w %s: %v", ErrCorrupt, c.log.snapPath, err)
+			return fmt.Errorf("%w %s: %v", ErrCorrupt, fresh.log.snapPath, err)
 		}
 		for _, e := range entries {
-			c.put(e)
+			fresh.put(e)
 		}
 	}
+	if f != nil {
+		if err := fresh.replay(f); err != nil {
+			return err
+		}
+	}
+	c.entries, c.byIndex, c.byKey, c.log = fresh.entries, fresh.byIndex, fresh.byKey, fresh.log
+	return nil
+}
 
-	raw, err := os.ReadFile(c.log.logPath)
-	if os.IsNotExist(err) {
-		return snapInfo, nil
-	}
+// replay applies the complete ops in the log f past the ones the entries
+// already include. Bytes after the last newline are a torn tail and are
+// left unread.
+func (c *Catalog) replay(f *os.File) error {
+	st, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("catalog: %w", err)
+		return fmt.Errorf("catalog: %w", err)
 	}
-	for line := 1; ; line++ {
-		rest := raw[c.log.size:]
+	if st.Size() <= c.log.size {
+		return nil
+	}
+	rest := make([]byte, st.Size()-c.log.size)
+	if _, err := f.ReadAt(rest, c.log.size); err != nil {
+		return fmt.Errorf("catalog: %w", err)
+	}
+	for {
 		n := bytes.IndexByte(rest, '\n')
 		if n < 0 {
-			return snapInfo, nil // what remains, if anything, is a torn tail
+			return nil
 		}
 		var op logOp
 		err := json.Unmarshal(rest[:n], &op)
@@ -144,10 +164,11 @@ func (c *Catalog) load() (os.FileInfo, error) {
 			err = c.apply(&op)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("%w %s line %d: %v", ErrCorrupt, c.log.logPath, line, err)
+			return fmt.Errorf("%w %s line %d: %v", ErrCorrupt, c.log.logPath, c.log.ops+1, err)
 		}
 		c.log.size += int64(n + 1)
 		c.log.ops++
+		rest = rest[n+1:]
 	}
 }
 
@@ -184,87 +205,112 @@ func (c *Catalog) apply(op *logOp) error {
 	return nil
 }
 
-// commit makes op durable in the log, then applies it, then compacts when
-// the log has outgrown the snapshot. Write-ahead order means a failed
-// append leaves the in-memory catalog unchanged.
-func (c *Catalog) commit(op *logOp) error {
-	if err := c.appendOp(op); err != nil {
-		return err
-	}
-	if err := c.apply(op); err != nil {
-		return err
-	}
-	if c.log.ops > 2*len(c.entries)+compactSlack {
-		// The op is already durable; a failed compaction is retried by
-		// the next mutation and is no reason to report this one failed.
-		c.compact()
-	}
-	return nil
-}
-
-// appendOp writes op as one line at the end of the log and fsyncs it.
-func (c *Catalog) appendOp(op *logOp) error {
-	line, err := json.Marshal(op)
-	if err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	line = append(line, '\n')
-	if c.log.checkTail {
-		if err := c.cutTail(); err != nil {
-			return err
+// mutate commits the op build returns, if any. build runs under the log
+// lock on entries brought up to date with the log, so it decides on the
+// state other writers left. The op is made durable in the log, then
+// applied, then the log is compacted if it has outgrown the snapshot.
+// Write-ahead order means a failed append leaves the in-memory catalog
+// unchanged; whatever of the op reached the file is replayed or cut off
+// by the next mutation.
+func (c *Catalog) mutate(build func() *logOp) error {
+	return c.withLog(func(f *os.File) error {
+		op := build()
+		if op == nil {
+			return nil
 		}
-	}
-	f, err := os.OpenFile(c.log.logPath, os.O_WRONLY|os.O_APPEND, 0)
-	if err == nil {
+		line, err := json.Marshal(op)
+		if err != nil {
+			return fmt.Errorf("catalog: %w", err)
+		}
+		line = append(line, '\n')
 		if _, err = f.Write(line); err == nil {
 			err = f.Sync()
 		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
+		if err != nil {
+			return fmt.Errorf("catalog: %w", err)
 		}
-	}
-	if err != nil {
-		// A partial line would become a corrupt non-tail line once the
-		// next op lands behind it.
-		c.log.checkTail = true
-		return fmt.Errorf("catalog: %w", err)
-	}
-	c.log.size += int64(len(line))
-	c.log.ops++
-	return nil
+		c.log.size += int64(len(line))
+		c.log.ops++
+		if err := c.apply(op); err != nil {
+			return err
+		}
+		if c.log.ops > 2*len(c.entries)+compactSlack {
+			// The op is already durable; a failed compaction is retried
+			// by the next mutation and is no reason to report this one
+			// failed.
+			c.compact(f)
+		}
+		return nil
+	})
 }
 
-// cutTail prepares the log for appending: it creates the directory and
-// the log file if needed (fsyncing the directory so the file's entry is
-// durable) and truncates anything past the last complete op.
-func (c *Catalog) cutTail() error {
-	dir := filepath.Dir(c.log.logPath)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// withLog runs fn holding an exclusive lock on the log, which serializes
+// writers across processes. First it brings the entries up to date: ops
+// another process appended since are replayed, and if one compacted (the
+// snapshot was replaced) everything is reloaded. Bytes past the last
+// complete op are a torn append and are cut off, so an op fn appends
+// starts a line of its own.
+func (c *Catalog) withLog(fn func(f *os.File) error) error {
+	f, err := c.openLog()
+	if err != nil {
+		return err
+	}
+	defer f.Close() // releases the lock
+	if err := flock(f, syscall.LOCK_EX); err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
-	f, err := os.OpenFile(c.log.logPath, os.O_WRONLY|os.O_CREATE, 0o644)
+	snap, err := os.Stat(c.log.snapPath)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("catalog: %w", err)
+	}
+	st, err := f.Stat()
 	if err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err == nil && st.Size() > c.log.size {
+	if !sameSnapshot(c.log.snap, snap) || st.Size() < c.log.size {
+		err = c.load(f)
+	} else {
+		err = c.replay(f)
+	}
+	if err != nil {
+		return err
+	}
+	if st, err = f.Stat(); err == nil && st.Size() > c.log.size {
 		if err = f.Truncate(c.log.size); err == nil {
 			err = f.Sync()
 		}
 	}
-	if err == nil {
-		err = syncDir(dir)
-	}
 	if err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
-	c.log.checkTail = false
-	return nil
+	return fn(f)
 }
 
-// compact writes the entries as a new snapshot and empties the log.
-func (c *Catalog) compact() error {
+// openLog opens the log for appending. The first mutation in a directory
+// creates it (and the directory) and fsyncs the directory so the file's
+// entry is durable.
+func (c *Catalog) openLog() (*os.File, error) {
+	f, err := os.OpenFile(c.log.logPath, os.O_RDWR|os.O_APPEND, 0)
+	if os.IsNotExist(err) {
+		dir := filepath.Dir(c.log.logPath)
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			f, err = os.OpenFile(c.log.logPath, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
+		}
+		if err == nil {
+			if err = syncDir(dir); err != nil {
+				f.Close()
+			}
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("catalog: %w", err)
+	}
+	return f, nil
+}
+
+// compact writes the entries as a new snapshot and empties the log f,
+// whose lock the caller holds.
+func (c *Catalog) compact(f *os.File) error {
 	raw, err := json.MarshalIndent(c.entries, "", "  ")
 	if err != nil {
 		return fmt.Errorf("catalog: %w", err)
@@ -272,10 +318,15 @@ func (c *Catalog) compact() error {
 	if err := writeAtomic(c.log.snapPath, raw); err != nil {
 		return err
 	}
+	snap, err := os.Stat(c.log.snapPath)
+	if err != nil {
+		return fmt.Errorf("catalog: %w", err)
+	}
 	// The snapshot's rename is durable and it holds every logged op. A
 	// crash before the truncate leaves both, which replays to the same
 	// entries (see the op kinds).
-	if err := os.Truncate(c.log.logPath, 0); err != nil {
+	c.log.snap = snap
+	if err := f.Truncate(0); err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
 	c.log.size, c.log.ops = 0, 0

@@ -90,7 +90,7 @@ func TestTornTailIgnored(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.compact(); err != nil {
+	if err := c.withLog(c.compact); err != nil {
 		t.Fatal(err)
 	}
 	c.Add(cacheEntry(dir, 3))
@@ -148,7 +148,7 @@ func TestCrashBetweenRenameAndTruncate(t *testing.T) {
 	want := c.All()
 	_, log := readBoth(t, dir)
 
-	if err := c.compact(); err != nil {
+	if err := c.withLog(c.compact); err != nil {
 		t.Fatal(err)
 	}
 	logPath := filepath.Join(dir, fileName+logSuffix)
@@ -228,7 +228,7 @@ func TestMutationAppendsWithoutRewritingSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.compact(); err != nil {
+	if err := c.withLog(c.compact); err != nil {
 		t.Fatal(err)
 	}
 	snapPath := filepath.Join(dir, fileName)
@@ -388,6 +388,146 @@ func TestConcurrentMutations(t *testing.T) {
 	}
 }
 
+// TestTwoWritersShareLog: two Catalogs on one directory stand for two
+// processes (`serve` and `cache -evict`, say). Whatever one appended or
+// compacted after the other opened, the other's next mutation builds on
+// it: no op either was told succeeded is lost, and the files reopen.
+func TestTwoWritersShareLog(t *testing.T) {
+	cases := map[string]func(t *testing.T, dir string, b *Catalog){
+		// b's ops land past the offset a recorded when it opened.
+		"append": func(t *testing.T, dir string, b *Catalog) {
+			for i := 10; i < 14; i++ {
+				if err := b.Add(cacheEntry(dir, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+		// b compacts, then appends more than a's offset, so a cut at that
+		// offset would land mid-line.
+		"compact then append": func(t *testing.T, dir string, b *Catalog) {
+			if err := b.withLog(b.compact); err != nil {
+				t.Fatal(err)
+			}
+			for i := 10; i < 30; i++ {
+				if err := b.Add(cacheEntry(dir, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+	}
+	for name, other := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			a := mustOpen(t, dir)
+			for i := 0; i < 3; i++ {
+				if err := a.Add(cacheEntry(dir, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := a.withLog(a.compact); err != nil {
+				t.Fatal(err)
+			}
+			a.TouchCache(cacheEntry(dir, 1).CacheKey)
+			b := mustOpen(t, dir)
+			a = mustOpen(t, dir) // a fresh offset, as a newly started process has
+			b.TouchCache(cacheEntry(dir, 1).CacheKey)
+			other(t, dir, b)
+			want := b.All()
+
+			// a evicts the entries b registered and hits one of them.
+			if err := a.TouchCache(cacheEntry(dir, 1).CacheKey); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Remove(cacheEntry(dir, 0).IndexPath); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Open(dir)
+			if err != nil {
+				t.Fatalf("reopen after two writers: %v", err)
+			}
+			got := r.All()
+			if !reflect.DeepEqual(got, a.All()) {
+				t.Fatal("reopened catalog differs from the last writer's memory")
+			}
+			if len(got) != len(want)-1 {
+				t.Fatalf("%d entries, want b's %d less the one a removed", len(got), len(want))
+			}
+			if e, _ := r.FindCache(cacheEntry(dir, 1).CacheKey); e.Hits != 3 {
+				t.Errorf("hits = %d, want 3 (one from a, one from b, then one from a)", e.Hits)
+			}
+			if _, ok := r.FindCache(cacheEntry(dir, 12).CacheKey); !ok {
+				t.Error("an entry b added is gone")
+			}
+		})
+	}
+}
+
+// TestConcurrentWriters: several Catalogs on one directory, each with its
+// own lock on the log, store and hit entries at once across compactions.
+// The result replays to every store and every hit.
+func TestConcurrentWriters(t *testing.T) {
+	dir := t.TempDir()
+	const writers, perWriter = 3, 40
+	shared := cacheEntry(dir, 1000)
+	if err := mustOpen(t, dir).Add(shared); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		c := mustOpen(t, dir)
+		go func(w int) {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < perWriter; i++ {
+				if err := c.Add(cacheEntry(dir, w*perWriter+i)); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := c.TouchCache(shared.CacheKey); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < writers; w++ {
+		<-done
+	}
+	r := mustOpen(t, dir)
+	if n := len(r.All()); n != writers*perWriter+1 {
+		t.Errorf("entries = %d, want %d", n, writers*perWriter+1)
+	}
+	if e, _ := r.FindCache(shared.CacheKey); e.Hits != writers*perWriter {
+		t.Errorf("hits = %d, want %d", e.Hits, writers*perWriter)
+	}
+}
+
+// TestOpenWaitsForWriter: Open reads under a shared lock, so it cannot see
+// a writer's half-done compaction (a new snapshot beside the old log).
+func TestOpenWaitsForWriter(t *testing.T) {
+	dir := t.TempDir()
+	c := mustOpen(t, dir)
+	if err := c.Add(cacheEntry(dir, 0)); err != nil {
+		t.Fatal(err)
+	}
+	opened := make(chan error, 1)
+	c.withLog(func(f *os.File) error {
+		go func() {
+			_, err := Open(dir)
+			opened <- err
+		}()
+		select {
+		case err := <-opened:
+			t.Errorf("Open returned (err %v) while a writer held the log", err)
+			opened <- nil
+		case <-time.After(50 * time.Millisecond):
+		}
+		return nil
+	})
+	if err := <-opened; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestForInputExcludesResultCache: ForInput lists index variants only; the
 // result cache is reached through FindCache.
 func TestForInputExcludesResultCache(t *testing.T) {
@@ -421,7 +561,7 @@ func FuzzCatalogOpen(f *testing.F) {
 	c := mustOpen(f, dir)
 	c.Add(Entry{InputPath: "a", IndexPath: "a.i", Kind: KindBTree, KeyExpr: "k"})
 	c.Add(Entry{InputPath: "a", IndexPath: "c1", Kind: KindResultCache, CacheKey: "k1"})
-	c.compact()
+	c.withLog(c.compact)
 	c.Add(Entry{InputPath: "a", IndexPath: "c2", Kind: KindResultCache, CacheKey: "k2"})
 	c.TouchCache("k1")
 	c.Quarantine("a.i", "crc")
