@@ -791,12 +791,8 @@ func journalJobs(sysDir string) error {
 		}
 		fmt.Println()
 	}
-	st, err := jnl.Stats()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("journal: %d jobs (%d incomplete), %d segments, %d bytes\n",
-		st.Jobs, st.Incomplete, st.Segments, st.Bytes)
+	st := jnl.Stats()
+	fmt.Printf("journal: %d jobs (%d incomplete), %d bytes\n", st.Jobs, st.Incomplete, st.Bytes)
 	return nil
 }
 

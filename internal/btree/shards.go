@@ -9,7 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 
-	"manimal/internal/faultinject"
+	"manimal/internal/durable"
 	"manimal/internal/serde"
 )
 
@@ -86,33 +86,9 @@ func WriteManifest(path, keyExpr string, shardPaths []string, bounds [][]byte) e
 	}
 	// Commit atomically: manifest paths are catalog-visible, and a partial
 	// manifest would break every open of the shard set.
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
+	if err := durable.WriteFile(path, raw); err != nil {
 		return fmt.Errorf("btree: write manifest: %w", err)
 	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("btree: write manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("btree: sync manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("btree: close manifest: %w", err)
-	}
-	if err := faultinject.Fail(faultinject.PointCrashRename, filepath.Base(path)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("btree: commit manifest %s: %w", path, err)
-	}
-	syncDir(filepath.Dir(path))
 	return nil
 }
 

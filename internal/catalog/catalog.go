@@ -5,24 +5,25 @@
 //
 // The catalog lives in its directory as a JSON snapshot
 // (manimal-catalog.json, the "filesystem catalog" of the paper) plus an
-// append-only log (manimal-catalog.json.log). Every mutation appends one
-// JSON op line to the log and fsyncs it before returning, so a result-cache
-// store or hit costs one small append however many entries the catalog
-// holds. Once the log holds more than 2×entries+64 ops it is compacted: the
-// snapshot is rewritten atomically (temp file, fsync, rename, directory
-// fsync) and the log truncated. Every op is idempotent against a snapshot
-// that already contains it, so a crash between that rename and the
-// truncate replays to the same entries.
+// append-only log (manimal-catalog.json.log), both written through package
+// durable. Every mutation appends one JSON op line to the log (a
+// durable.Log: locked, fsynced before it returns), so a result-cache store
+// or hit costs one small append however many entries the catalog holds.
+// Once the log holds more than 2×entries+64 ops it is compacted: the
+// snapshot is rewritten as an atomic file (durable.WriteFile) and the log
+// emptied. Every op is idempotent against a snapshot that already contains
+// it, so a crash between that rename and the truncate replays to the same
+// entries.
 //
 // Open only reads: under a shared lock on the log it loads the snapshot and
 // replays the log up to its last complete line, ignoring a torn tail.
 // Read-only tools (`manimal catalog`, `manimal cache`) can therefore open a
 // directory that a running `manimal serve` is writing. Writers in several
-// processes (`serve` next to `cache -evict`, say) serialize on an exclusive
-// lock of the log: a mutation first replays the ops other processes
-// appended, reloading everything if one of them compacted, and cuts a torn
-// tail off before it appends its own op. An instance's reads see other
-// processes' writes from its next mutation on.
+// processes (`serve` next to `cache -evict`, say) serialize on the log's
+// exclusive lock: a mutation first replays the ops other processes
+// appended, reloading everything if one of them compacted, and its append
+// cuts a torn tail off first. An instance's reads see other processes'
+// writes from its next mutation on.
 package catalog
 
 import (

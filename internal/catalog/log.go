@@ -1,14 +1,14 @@
 package catalog
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"syscall"
+
+	"manimal/internal/durable"
 )
 
 const (
@@ -70,29 +70,18 @@ func Open(dir string) (*Catalog, error) {
 	// A shared lock on the log keeps writers from appending or compacting
 	// while the snapshot and the log are read. Without a log there is
 	// nothing to pair the snapshot with: it alone is a complete state.
-	f, err := os.Open(c.log.logPath)
+	l, err := durable.ReadLog(c.log.logPath)
 	switch {
-	case os.IsNotExist(err): // f is nil
+	case os.IsNotExist(err): // l is nil
 	case err != nil:
 		return nil, fmt.Errorf("catalog: %w", err)
 	default:
-		defer f.Close()
-		if err := flock(f, syscall.LOCK_SH); err != nil {
-			return nil, fmt.Errorf("catalog: %w", err)
-		}
+		defer l.Close()
 	}
-	if err := c.load(f); err != nil {
+	if err := c.load(l); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-func flock(f *os.File, how int) error {
-	for {
-		if err := syscall.Flock(int(f.Fd()), how); err != syscall.EINTR {
-			return err
-		}
-	}
 }
 
 func sameSnapshot(a, b os.FileInfo) bool {
@@ -102,9 +91,9 @@ func sameSnapshot(a, b os.FileInfo) bool {
 	return os.SameFile(a, b) && a.Size() == b.Size() && a.ModTime().Equal(b.ModTime())
 }
 
-// load replaces the entries with the snapshot plus the ops in the log f
+// load replaces the entries with the snapshot plus the ops in the log l
 // (nil when there is none). On an error c is left as it was.
-func (c *Catalog) load(f *os.File) error {
+func (c *Catalog) load(l *durable.Log) error {
 	fresh := &Catalog{log: logState{snapPath: c.log.snapPath, logPath: c.log.logPath}}
 	fresh.reindex()
 	sf, err := os.Open(fresh.log.snapPath)
@@ -129,8 +118,8 @@ func (c *Catalog) load(f *os.File) error {
 			fresh.put(e)
 		}
 	}
-	if f != nil {
-		if err := fresh.replay(f); err != nil {
+	if l != nil {
+		if err := fresh.replay(l); err != nil {
 			return err
 		}
 	}
@@ -138,38 +127,23 @@ func (c *Catalog) load(f *os.File) error {
 	return nil
 }
 
-// replay applies the complete ops in the log f past the ones the entries
-// already include. Bytes after the last newline are a torn tail and are
-// left unread.
-func (c *Catalog) replay(f *os.File) error {
-	st, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if st.Size() <= c.log.size {
-		return nil
-	}
-	rest := make([]byte, st.Size()-c.log.size)
-	if _, err := f.ReadAt(rest, c.log.size); err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	for {
-		n := bytes.IndexByte(rest, '\n')
-		if n < 0 {
-			return nil
-		}
+// replay applies the complete ops in the log l past the ones the entries
+// already include.
+func (c *Catalog) replay(l *durable.Log) error {
+	err := l.Scan(c.log.size, func(line []byte) error {
 		var op logOp
-		err := json.Unmarshal(rest[:n], &op)
+		err := json.Unmarshal(line, &op)
 		if err == nil {
 			err = c.apply(&op)
 		}
 		if err != nil {
 			return fmt.Errorf("%w %s line %d: %v", ErrCorrupt, c.log.logPath, c.log.ops+1, err)
 		}
-		c.log.size += int64(n + 1)
 		c.log.ops++
-		rest = rest[n+1:]
-	}
+		return nil
+	})
+	c.log.size = l.End()
+	return err
 }
 
 // apply performs one op on the in-memory entries.
@@ -210,10 +184,9 @@ func (c *Catalog) apply(op *logOp) error {
 // state other writers left. The op is made durable in the log, then
 // applied, then the log is compacted if it has outgrown the snapshot.
 // Write-ahead order means a failed append leaves the in-memory catalog
-// unchanged; whatever of the op reached the file is replayed or cut off
-// by the next mutation.
+// unchanged, and the log without the op.
 func (c *Catalog) mutate(build func() *logOp) error {
-	return c.withLog(func(f *os.File) error {
+	return c.withLog(func(l *durable.Log) error {
 		op := build()
 		if op == nil {
 			return nil
@@ -222,14 +195,10 @@ func (c *Catalog) mutate(build func() *logOp) error {
 		if err != nil {
 			return fmt.Errorf("catalog: %w", err)
 		}
-		line = append(line, '\n')
-		if _, err = f.Write(line); err == nil {
-			err = f.Sync()
-		}
-		if err != nil {
+		if err := l.Append(line); err != nil {
 			return fmt.Errorf("catalog: %w", err)
 		}
-		c.log.size += int64(len(line))
+		c.log.size = l.End()
 		c.log.ops++
 		if err := c.apply(op); err != nil {
 			return err
@@ -238,7 +207,7 @@ func (c *Catalog) mutate(build func() *logOp) error {
 			// The op is already durable; a failed compaction is retried
 			// by the next mutation and is no reason to report this one
 			// failed.
-			c.compact(f)
+			c.compact(l)
 		}
 		return nil
 	})
@@ -247,76 +216,41 @@ func (c *Catalog) mutate(build func() *logOp) error {
 // withLog runs fn holding an exclusive lock on the log, which serializes
 // writers across processes. First it brings the entries up to date: ops
 // another process appended since are replayed, and if one compacted (the
-// snapshot was replaced) everything is reloaded. Bytes past the last
-// complete op are a torn append and are cut off, so an op fn appends
-// starts a line of its own.
-func (c *Catalog) withLog(fn func(f *os.File) error) error {
-	f, err := c.openLog()
+// snapshot was replaced) everything is reloaded.
+func (c *Catalog) withLog(fn func(l *durable.Log) error) error {
+	l, err := durable.AppendLog(c.log.logPath)
 	if err != nil {
-		return err
-	}
-	defer f.Close() // releases the lock
-	if err := flock(f, syscall.LOCK_EX); err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
+	defer l.Close() // releases the lock
 	snap, err := os.Stat(c.log.snapPath)
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("catalog: %w", err)
 	}
-	st, err := f.Stat()
+	size, err := l.Size()
 	if err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
-	if !sameSnapshot(c.log.snap, snap) || st.Size() < c.log.size {
-		err = c.load(f)
+	if !sameSnapshot(c.log.snap, snap) || size < c.log.size {
+		err = c.load(l)
 	} else {
-		err = c.replay(f)
+		err = c.replay(l)
 	}
 	if err != nil {
 		return err
 	}
-	if st, err = f.Stat(); err == nil && st.Size() > c.log.size {
-		if err = f.Truncate(c.log.size); err == nil {
-			err = f.Sync()
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	return fn(f)
+	return fn(l)
 }
 
-// openLog opens the log for appending. The first mutation in a directory
-// creates it (and the directory) and fsyncs the directory so the file's
-// entry is durable.
-func (c *Catalog) openLog() (*os.File, error) {
-	f, err := os.OpenFile(c.log.logPath, os.O_RDWR|os.O_APPEND, 0)
-	if os.IsNotExist(err) {
-		dir := filepath.Dir(c.log.logPath)
-		if err = os.MkdirAll(dir, 0o755); err == nil {
-			f, err = os.OpenFile(c.log.logPath, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
-		}
-		if err == nil {
-			if err = syncDir(dir); err != nil {
-				f.Close()
-			}
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("catalog: %w", err)
-	}
-	return f, nil
-}
-
-// compact writes the entries as a new snapshot and empties the log f,
+// compact writes the entries as a new snapshot and empties the log l,
 // whose lock the caller holds.
-func (c *Catalog) compact(f *os.File) error {
+func (c *Catalog) compact(l *durable.Log) error {
 	raw, err := json.MarshalIndent(c.entries, "", "  ")
 	if err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
-	if err := writeAtomic(c.log.snapPath, raw); err != nil {
-		return err
+	if err := durable.WriteFile(c.log.snapPath, raw); err != nil {
+		return fmt.Errorf("catalog: %w", err)
 	}
 	snap, err := os.Stat(c.log.snapPath)
 	if err != nil {
@@ -326,50 +260,9 @@ func (c *Catalog) compact(f *os.File) error {
 	// crash before the truncate leaves both, which replays to the same
 	// entries (see the op kinds).
 	c.log.snap = snap
-	if err := f.Truncate(0); err != nil {
+	if err := l.Reset(); err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
 	c.log.size, c.log.ops = 0, 0
 	return nil
-}
-
-// writeAtomic replaces path with raw: temp file, fsync, rename, parent-dir
-// fsync — a crash mid-write leaves either the old file or the new one,
-// never a torn one.
-func writeAtomic(path string, raw []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	_, err = f.Write(raw)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(f.Name(), path)
-	}
-	if err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	return nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"manimal/internal/durable"
 )
 
 // cacheEntry builds a result-cache entry shaped like the ones a System
@@ -510,7 +512,7 @@ func TestOpenWaitsForWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	opened := make(chan error, 1)
-	c.withLog(func(f *os.File) error {
+	c.withLog(func(*durable.Log) error {
 		go func() {
 			_, err := Open(dir)
 			opened <- err

@@ -1,6 +1,6 @@
 // Package faultinject is Manimal's deterministic fault-injection harness:
 // named injection points wrapped around storage reads and writes, spill
-// I/O, task bodies, atomic-rename commits, job-journal writes, and the
+// I/O, task bodies, atomic-file commits, job-journal appends, and the
 // coordinator's drain and crash paths, so the engine's fault tolerance
 // (retries, speculation, checksum quarantine) and the coordinator's crash
 // recovery can be exercised reproducibly in tests and CI without flaky
@@ -33,9 +33,14 @@
 //	straggle=0.1:200ms     10% of task attempts sleep 200ms first
 //	corrupt=1.0@.idx0      every read of a path containing ".idx0" is
 //	                       bit-flipped (caught by block checksums)
-//	crash=0.5              50% of atomic commits fail before their rename
-//	journal=1.0            every job-journal segment write fails (the
-//	                       submission being recorded must be refused)
+//	crash=0.5              50% of atomic-file commits (durable.File: record
+//	                       files, KV outputs, B+Tree shards and manifests,
+//	                       result-cache copies, catalog snapshots) fail
+//	                       before their rename; keyed by the destination's
+//	                       base name
+//	journal=1.0            every job-journal append fails before it reaches
+//	                       the log (the submission being recorded must be
+//	                       refused); keyed "<job id>.<submit|end|mark>"
 //	drain=1.0              a graceful drain aborts mid-way (crash-mid-drain)
 //	kill=1.0@map           the PROCESS exits (status KillExitCode) the
 //	                       moment a map-task attempt starts — a real crash
@@ -80,13 +85,13 @@ const (
 	// PointCorrupt flips bits in a block read's raw bytes (detected by
 	// CRC32C block checksums and classified permanent).
 	PointCorrupt Point = "corrupt"
-	// PointCrashRename fails an atomic commit after the temp file is fully
-	// written but before the rename — modeling a crash mid-commit; the
-	// final path must be left untouched.
+	// PointCrashRename fails an atomic-file commit (durable.File) after the
+	// temp file is fully written and fsynced but before the rename —
+	// modeling a crash mid-commit; the final path must be left untouched.
 	PointCrashRename Point = "crash"
-	// PointJournal fails a job-journal segment write before it touches
-	// disk — modeling a full coordinator disk or a crash at journal write;
-	// the submission it was recording must be refused.
+	// PointJournal fails a job-journal append before the record reaches
+	// the log — modeling a full coordinator disk or a crash at journal
+	// write; the submission it was recording must be refused.
 	PointJournal Point = "journal"
 	// PointDrain aborts a graceful drain in progress — modeling a
 	// coordinator crash mid-drain, after admission stopped but before

@@ -7,28 +7,28 @@
 //
 // # Layout and durability
 //
-// The journal lives in <sysdir>/journal as one small JSON segment file per
-// record, named <seq>.<kind>.json:
+// The journal is one file, <sysdir>/journal/journal.log, of JSON lines
+// appended through a durable.Log: each append holds an exclusive lock on
+// the file and is fsynced before it returns. A line holds one record:
 //
-//	00000001.submit.json   the accepted submission (program source, conf,
-//	                       inputs, output path, tenant) — written BEFORE
-//	                       the job is handed to the scheduler
-//	00000001.end.json      the terminal state (done/failed/canceled) and
-//	                       output record count — written after commit
-//	00000001.mark.json     a recovery annotation (e.g. "interrupted"),
-//	                       written when a replay finds the job incomplete
+//	{"submit":{...}}   the accepted submission (program source, conf,
+//	                   inputs, output path, tenant), appended BEFORE the
+//	                   job is handed to the scheduler
+//	{"end":{...}}      the terminal state (done/failed/canceled) and
+//	                   output record count, appended after commit
+//	{"mark":{...}}     a recovery annotation (e.g. "interrupted"),
+//	                   appended when a replay finds the job incomplete
 //
-// Every segment is written with the same atomic-commit idiom as the
-// catalog and the engine's output files: temp file in the same directory,
-// fsync, rename into place, fsync the directory. A crash at any instant
-// leaves either no segment or a complete one — never a torn record. A
-// submission whose journal write fails is REFUSED, so an accepted job is
-// always recoverable.
+// A crash mid-append leaves at most a last line without its newline,
+// which readers ignore and the next append cuts off; a complete line that
+// cannot be decoded is a typed error (ErrCorrupt). A submission whose
+// journal append fails is REFUSED, so an accepted job is always
+// recoverable. The journal has no compaction: every job's lines are kept.
 //
 // # Recovery contract
 //
 // Replay returns one Entry per submission, in sequence order. An entry
-// with no end segment is INCOMPLETE: the coordinator died while the job
+// with no end record is INCOMPLETE: the coordinator died while the job
 // was queued or running. Re-executing an incomplete entry is safe because
 // execution is idempotent at both ends — the result cache serves identical
 // re-submissions from committed output, and the engine's atomic per-task
@@ -39,17 +39,31 @@ package journal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"manimal/internal/durable"
 	"manimal/internal/faultinject"
 )
+
+// LogName is the journal file's name inside the journal directory.
+const LogName = "journal.log"
+
+// ErrCorrupt marks a complete journal line that cannot be decoded or that
+// contradicts the lines before it. A torn last line is not corruption: it
+// is an append that a crash cut short, and readers ignore it.
+var ErrCorrupt = errors.New("journal: corrupt")
+
+// ErrLegacy marks a journal directory that still holds the per-record
+// files (*.submit.json) of the earlier journal layout, which this one does
+// not read.
+var ErrLegacy = errors.New("journal: directory in the old one-file-per-record layout")
 
 // Terminal states recorded in End.State (mirroring the engine's terminal
 // phases).
@@ -137,220 +151,274 @@ type Stats struct {
 	Dir        string `json:"dir"`
 	Jobs       int    `json:"jobs"`
 	Incomplete int    `json:"incomplete"`
-	Segments   int    `json:"segments"`
 	Bytes      int64  `json:"bytes"`
 }
 
-// Journal is one system's job log. Safe for concurrent use; every write
-// is individually atomic and fsynced before the call returns.
-type Journal struct {
-	dir string
-
-	mu  sync.Mutex
-	seq uint64 // highest sequence number assigned so far
+// record is one journal line; exactly one field is set.
+type record struct {
+	Submit *Submission `json:"submit,omitempty"`
+	End    *End        `json:"end,omitempty"`
+	Mark   *Mark       `json:"mark,omitempty"`
 }
 
-// Open opens (or initializes) the journal directory, resuming the
-// sequence counter from the highest existing segment. Leftover temp files
-// from a crash mid-write are removed — by construction they were never
-// acknowledged.
+// head returns the job ID and kind of the record, and how many of its
+// fields are set.
+func (r *record) head() (id, kind string, n int) {
+	if r.Submit != nil {
+		id, kind, n = r.Submit.ID, "submit", n+1
+	}
+	if r.End != nil {
+		id, kind, n = r.End.ID, "end", n+1
+	}
+	if r.Mark != nil {
+		id, kind, n = r.Mark.ID, "mark", n+1
+	}
+	return id, kind, n
+}
+
+// tally checks and counts a sequence of records.
+type tally struct {
+	seq  uint64              // jobs submitted; Begin numbers them 1, 2, ...
+	open map[uint64]struct{} // submitted jobs without an end record
+}
+
+// check returns the sequence number of rec's job, or an ErrCorrupt error
+// if rec cannot follow the records counted so far.
+func (t *tally) check(rec *record) (uint64, error) {
+	id, _, n := rec.head()
+	seq, err := ParseID(id)
+	switch {
+	case n != 1:
+		err = fmt.Errorf("a line holds %d records, want 1", n)
+	case err != nil:
+	case rec.Submit != nil && seq != t.seq+1:
+		err = fmt.Errorf("submission %s does not follow %s", id, idFor(t.seq))
+	case rec.Submit == nil && seq > t.seq:
+		err = fmt.Errorf("record for %s before its submission", id)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return seq, nil
+}
+
+// count adds rec, which check accepted as job seq.
+func (t *tally) count(rec *record, seq uint64) {
+	if t.open == nil {
+		t.open = make(map[uint64]struct{})
+	}
+	if rec.Submit != nil {
+		t.seq = seq
+		t.open[seq] = struct{}{}
+	} else if rec.End != nil {
+		delete(t.open, seq)
+	}
+}
+
+// add decodes, checks and counts one line.
+func (t *tally) add(line []byte) (record, uint64, error) {
+	var rec record
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return rec, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	seq, err := t.check(&rec)
+	if err == nil {
+		t.count(&rec, seq)
+	}
+	return rec, seq, err
+}
+
+// Journal is one system's job log. Safe for concurrent use; every record
+// is fsynced before the call that appends it returns.
+type Journal struct {
+	dir  string
+	path string
+
+	mu  sync.Mutex
+	t   tally // the records up to end
+	end int64 // offset just past the last record counted
+}
+
+// Open opens the journal in dir (creating the directory) and counts its
+// records, resuming the sequence after the highest job ID. A directory
+// still holding the earlier layout's files is an ErrLegacy error.
 func Open(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{dir: dir}
-	des, err := os.ReadDir(dir)
+	segs, err := filepath.Glob(filepath.Join(dir, "*.submit.json"))
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	for _, de := range des {
-		name := de.Name()
-		if strings.HasPrefix(name, ".tmp-") {
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		seq, _, ok := parseSegmentName(name)
-		if ok && seq > j.seq {
-			j.seq = seq
-		}
+	if len(segs) > 0 {
+		return nil, fmt.Errorf("%w: %s holds %d job(s) as *.submit.json files; finish or discard those jobs "+
+			"first, with the release that wrote them", ErrLegacy, dir, len(segs))
+	}
+	j := &Journal{dir: dir, path: filepath.Join(dir, LogName)}
+	l, err := durable.ReadLog(j.path)
+	if os.IsNotExist(err) {
+		return j, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	defer l.Close()
+	if err := j.catchUp(l); err != nil {
+		return nil, err
 	}
 	return j, nil
+}
+
+// catchUp counts the records in l past the ones already counted: at Open
+// all of them, before an append those other processes added. Callers hold
+// j.mu or own j alone.
+func (j *Journal) catchUp(l *durable.Log) error {
+	err := l.Scan(j.end, func(line []byte) error {
+		_, _, err := j.t.add(line)
+		return err
+	})
+	j.end = l.End()
+	if err != nil {
+		return fmt.Errorf("%w (%s, line at byte %d)", err, j.path, j.end)
+	}
+	return nil
 }
 
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.dir }
 
 // Begin journals an accepted submission and returns its assigned job ID
-// ("j" + 8-digit sequence). The segment is durable when Begin returns; on
+// ("j" + 8-digit sequence). The record is durable when Begin returns; on
 // error nothing was accepted and the caller must refuse the submission.
 func (j *Journal) Begin(sub Submission) (string, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	seq := j.seq + 1
-	sub.ID = idFor(seq)
 	if sub.SubmittedAt.IsZero() {
 		sub.SubmittedAt = time.Now()
 	}
-	if err := j.writeSegment(segmentName(seq, "submit"), sub); err != nil {
+	err := j.append(func() *record {
+		sub.ID = idFor(j.t.seq + 1)
+		return &record{Submit: &sub}
+	})
+	if err != nil {
 		return "", err
 	}
-	j.seq = seq
 	return sub.ID, nil
 }
 
-// BeginAs journals a submission under a caller-chosen existing ID — used
-// only by recovery tests and tools that need to reconstruct a journal; the
-// normal path is Begin.
-func (j *Journal) BeginAs(id string, sub Submission) error {
-	seq, err := ParseID(id)
-	if err != nil {
-		return err
-	}
+// End journals a job's terminal state. Ending the same job again appends
+// another end record, and the last one wins (recovery re-runs a job under
+// its original ID).
+func (j *Journal) End(id, state, errText string, outputRecords int64) error {
+	return j.append(func() *record {
+		return &record{End: &End{ID: id, State: state, Error: errText, OutputRecords: outputRecords, FinishedAt: time.Now()}}
+	})
+}
+
+// Mark annotates a job (e.g. "interrupted; resubmitted by recovery"); the
+// latest mark wins.
+func (j *Journal) Mark(id, note string) error {
+	return j.append(func() *record {
+		return &record{Mark: &Mark{ID: id, Note: note, At: time.Now()}}
+	})
+}
+
+// append commits the record build returns as one log line. build runs
+// under the log lock after the records other processes appended have been
+// counted, so a new submission's sequence number is unique across them.
+// The faultinject journal point fires, keyed "<id>.<kind>", before the
+// record reaches the file.
+func (j *Journal) append(build func() *record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	sub.ID = id
-	if sub.SubmittedAt.IsZero() {
-		sub.SubmittedAt = time.Now()
+	l, err := durable.AppendLog(j.path)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
 	}
-	if err := j.writeSegment(segmentName(seq, "submit"), sub); err != nil {
+	defer l.Close() // releases the lock
+	if err := j.catchUp(l); err != nil {
 		return err
 	}
-	if seq > j.seq {
-		j.seq = seq
+	rec := build()
+	id, kind, _ := rec.head()
+	seq, err := j.t.check(rec)
+	if err != nil {
+		return fmt.Errorf("journal: refusing %s record for %q: %w", kind, id, err)
 	}
+	if err := faultinject.Fail(faultinject.PointJournal, id+"."+kind); err != nil {
+		return fmt.Errorf("journal: writing %s.%s: %w", id, kind, err)
+	}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	if err := l.Append(line); err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	j.t.count(rec, seq)
+	j.end = l.End()
 	return nil
 }
 
-// End journals a job's terminal state. Ending the same job again
-// overwrites the previous end segment (recovery re-runs a job under its
-// original ID, so its final End wins).
-func (j *Journal) End(id, state, errText string, outputRecords int64) error {
-	seq, err := ParseID(id)
-	if err != nil {
-		return err
-	}
-	rec := End{ID: id, State: state, Error: errText, OutputRecords: outputRecords, FinishedAt: time.Now()}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.writeSegment(segmentName(seq, "end"), rec)
-}
-
-// Mark annotates a job (e.g. "interrupted; resubmitted by recovery"). One
-// mark per job is kept; a later mark overwrites an earlier one.
-func (j *Journal) Mark(id, note string) error {
-	seq, err := ParseID(id)
-	if err != nil {
-		return err
-	}
-	rec := Mark{ID: id, Note: note, At: time.Now()}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.writeSegment(segmentName(seq, "mark"), rec)
-}
-
 // Replay reads the whole journal and returns one entry per submission in
-// sequence order. End/mark segments without a surviving submission are
-// impossible by construction (the submit segment is durable first) and
-// are ignored if found.
-func (j *Journal) Replay() ([]Entry, error) {
-	des, err := os.ReadDir(j.dir)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	bys := make(map[uint64]*Entry)
-	var order []uint64
-	// Submissions first, so ends and marks always find their entry
-	// regardless of directory order.
-	for pass := 0; pass < 2; pass++ {
-		for _, de := range des {
-			seq, kind, ok := parseSegmentName(de.Name())
-			if !ok || (pass == 0) != (kind == "submit") {
-				continue
-			}
-			path := filepath.Join(j.dir, de.Name())
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				return nil, fmt.Errorf("journal: %w", err)
-			}
-			switch kind {
-			case "submit":
-				var sub Submission
-				if err := json.Unmarshal(raw, &sub); err != nil {
-					return nil, fmt.Errorf("journal: %s: %w", path, err)
-				}
-				bys[seq] = &Entry{Sub: sub}
-				order = append(order, seq)
-			case "end":
-				var end End
-				if err := json.Unmarshal(raw, &end); err != nil {
-					return nil, fmt.Errorf("journal: %s: %w", path, err)
-				}
-				if e := bys[seq]; e != nil {
-					e.End = &end
-				}
-			case "mark":
-				var mark Mark
-				if err := json.Unmarshal(raw, &mark); err != nil {
-					return nil, fmt.Errorf("journal: %s: %w", path, err)
-				}
-				if e := bys[seq]; e != nil {
-					e.Mark = &mark
-				}
-			}
-		}
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a] < order[b] })
-	out := make([]Entry, 0, len(order))
-	for _, seq := range order {
-		out = append(out, *bys[seq])
-	}
-	return out, nil
-}
+// sequence order.
+func (j *Journal) Replay() ([]Entry, error) { return j.read(0) }
 
 // Lookup returns one job's journal entry by ID.
 func (j *Journal) Lookup(id string) (Entry, bool, error) {
-	if _, err := ParseID(id); err != nil {
+	seq, err := ParseID(id)
+	if err != nil {
 		return Entry{}, false, nil
 	}
-	entries, err := j.Replay()
-	if err != nil {
+	entries, err := j.read(seq)
+	if err != nil || len(entries) == 0 {
 		return Entry{}, false, err
 	}
-	for i := range entries {
-		if entries[i].Sub.ID == id {
-			return entries[i], true, nil
-		}
-	}
-	return Entry{}, false, nil
+	return entries[0], true, nil
 }
 
-// Stats scans the journal directory and summarizes it.
-func (j *Journal) Stats() (Stats, error) {
-	st := Stats{Dir: j.dir}
-	entries, err := j.Replay()
+// read reads the log under a shared lock and returns the entries of every
+// job, or of job only when it is not 0.
+func (j *Journal) read(job uint64) ([]Entry, error) {
+	l, err := durable.ReadLog(j.path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
 	if err != nil {
-		return st, err
+		return nil, fmt.Errorf("journal: %w", err)
 	}
-	st.Jobs = len(entries)
-	for i := range entries {
-		if !entries[i].Complete() {
-			st.Incomplete++
+	defer l.Close()
+	var (
+		t       tally
+		entries []Entry
+		at      = make(map[uint64]int) // seq -> index in entries
+	)
+	err = l.Scan(0, func(line []byte) error {
+		rec, seq, err := t.add(line)
+		if err != nil || (job != 0 && seq != job) {
+			return err
 		}
-	}
-	des, err := os.ReadDir(j.dir)
+		switch {
+		case rec.Submit != nil:
+			at[seq] = len(entries)
+			entries = append(entries, Entry{Sub: *rec.Submit})
+		case rec.End != nil:
+			entries[at[seq]].End = rec.End
+		case rec.Mark != nil:
+			entries[at[seq]].Mark = rec.Mark
+		}
+		return nil
+	})
 	if err != nil {
-		return st, fmt.Errorf("journal: %w", err)
+		return nil, fmt.Errorf("%w (%s, line at byte %d)", err, j.path, l.End())
 	}
-	for _, de := range des {
-		if _, _, ok := parseSegmentName(de.Name()); !ok {
-			continue
-		}
-		st.Segments++
-		if info, err := de.Info(); err == nil {
-			st.Bytes += info.Size()
-		}
-	}
-	return st, nil
+	return entries, nil
+}
+
+// Stats summarizes the journal from counters kept since Open; its cost
+// does not grow with the history.
+func (j *Journal) Stats() Stats {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return Stats{Dir: j.dir, Jobs: int(j.t.seq), Incomplete: len(j.t.open), Bytes: j.end}
 }
 
 // idFor formats a sequence number as a job ID.
@@ -367,71 +435,4 @@ func ParseID(id string) (uint64, error) {
 		return 0, fmt.Errorf("journal: malformed job id %q", id)
 	}
 	return seq, nil
-}
-
-func segmentName(seq uint64, kind string) string {
-	return fmt.Sprintf("%08d.%s.json", seq, kind)
-}
-
-// parseSegmentName splits "<seq>.<kind>.json" (kind ∈ submit|end|mark);
-// ok is false for anything else (temp files, strays).
-func parseSegmentName(name string) (uint64, string, bool) {
-	parts := strings.Split(name, ".")
-	if len(parts) != 3 || parts[2] != "json" {
-		return 0, "", false
-	}
-	switch parts[1] {
-	case "submit", "end", "mark":
-	default:
-		return 0, "", false
-	}
-	if len(parts[0]) != 8 {
-		return 0, "", false
-	}
-	seq, err := strconv.ParseUint(parts[0], 10, 64)
-	if err != nil {
-		return 0, "", false
-	}
-	return seq, parts[1], true
-}
-
-// writeSegment commits one record with the atomic idiom shared by the
-// catalog and the engine's outputs: temp + fsync + rename + dir fsync.
-// The faultinject journal point fires BEFORE anything touches disk,
-// modeling a full write failure. Callers hold j.mu.
-func (j *Journal) writeSegment(name string, v any) error {
-	if err := faultinject.Fail(faultinject.PointJournal, name); err != nil {
-		return fmt.Errorf("journal: writing %s: %w", name, err)
-	}
-	raw, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	tmp, err := os.CreateTemp(j.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	cleanup := func() { tmp.Close(); os.Remove(tmp.Name()) }
-	if _, err := tmp.Write(raw); err != nil {
-		cleanup()
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: %w", err)
-	}
-	final := filepath.Join(j.dir, name)
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: %w", err)
-	}
-	if d, err := os.Open(j.dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -72,12 +73,16 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("Lookup of unknown id = %v, %v", ok, err)
 	}
 
-	st, err := j.Stats()
+	if st := j.Stats(); st.Jobs != 2 || st.Incomplete != 1 || st.Bytes <= 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	// The counters kept since Open agree with a fresh count of the log.
+	j2, err := Open(j.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Jobs != 2 || st.Incomplete != 1 || st.Segments != 4 || st.Bytes <= 0 {
-		t.Fatalf("stats = %+v", st)
+	if st, st2 := j.Stats(), j2.Stats(); st != st2 {
+		t.Fatalf("stats after reopen = %+v, want %+v", st2, st)
 	}
 }
 
@@ -96,10 +101,7 @@ func TestReopenResumesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash: drop the handle, leave a temp file behind.
-	if err := os.WriteFile(filepath.Join(dir, ".tmp-123"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Simulate a crash: drop the handle and reopen.
 	j2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +113,8 @@ func TestReopenResumesSequence(t *testing.T) {
 	if id3 == id2 || id3 != "j00000003" {
 		t.Fatalf("reopened journal assigned %s after %s", id3, id2)
 	}
-	if _, err := os.Stat(filepath.Join(dir, ".tmp-123")); !os.IsNotExist(err) {
-		t.Errorf("crash-orphaned temp file survived reopen (stat err = %v)", err)
+	if des, err := os.ReadDir(dir); err != nil || len(des) != 1 || des[0].Name() != LogName {
+		t.Errorf("journal directory holds %v (err %v), want only %s", des, err, LogName)
 	}
 }
 
@@ -144,7 +146,7 @@ func TestEndIdempotent(t *testing.T) {
 }
 
 // TestCrashAtJournalWrite: with the journal fault point armed, Begin must
-// refuse the submission (error, no segment, no ID burned into replay).
+// refuse the submission (error, no record, no ID burned into replay).
 func TestCrashAtJournalWrite(t *testing.T) {
 	faultinject.Set(faultinject.MustParse("journal=1.0;seed=3"))
 	defer faultinject.Reset()
@@ -186,8 +188,9 @@ func TestParseID(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsCorruptSegment: a torn or hand-edited segment must be a
-// loud error, not silently skipped jobs.
+// TestReplayRejectsCorruptSegment: a complete log line that does not
+// decode, or that contradicts the lines before it, must be a loud typed
+// error, not silently skipped jobs.
 func TestReplayRejectsCorruptSegment(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir)
@@ -197,23 +200,226 @@ func TestReplayRejectsCorruptSegment(t *testing.T) {
 	if _, err := j.Begin(sub("a")); err != nil {
 		t.Fatal(err)
 	}
-	des, err := os.ReadDir(dir)
-	if err != nil || len(des) == 0 {
-		t.Fatalf("readdir: %v (%d entries)", err, len(des))
-	}
-	var seg string
-	for _, de := range des {
-		if strings.HasSuffix(de.Name(), ".submit.json") {
-			seg = filepath.Join(dir, de.Name())
-		}
-	}
-	if seg == "" {
-		t.Fatal("no submit segment written")
-	}
-	if err := os.WriteFile(seg, []byte("{truncated"), 0o644); err != nil {
+	good, err := os.ReadFile(filepath.Join(dir, LogName))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Replay(); err == nil {
-		t.Fatal("Replay accepted a corrupt segment")
+	for name, bad := range map[string]string{
+		"undecodable":       "{truncated\n",
+		"two records":       `{"end":{"id":"j00000001"},"mark":{"id":"j00000001"}}` + "\n",
+		"no record":         "{}\n",
+		"malformed id":      `{"end":{"id":"x1"}}` + "\n",
+		"end before submit": `{"end":{"id":"j00000002"}}` + "\n",
+		"sequence gap":      `{"submit":{"id":"j00000003"}}` + "\n",
+	} {
+		// The bad line is followed by a good one, so it is not a torn tail.
+		raw := append(append(append([]byte{}, good...), bad...), good...)
+		if err := os.WriteFile(filepath.Join(dir, LogName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Replay(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Replay = %v, want ErrCorrupt", name, err)
+		}
+		if _, _, err := j.Lookup("j00000001"); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Lookup = %v, want ErrCorrupt", name, err)
+		}
+		if _, err := Open(dir); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Open = %v, want ErrCorrupt", name, err)
+		}
 	}
+}
+
+// TestTornTail: a last line without its newline is an append a crash cut
+// short. Open ignores it, the next Begin cuts it off and reuses its
+// sequence number, and the log reads back cleanly.
+func TestTornTail(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Begin(sub("a")); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, LogName)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"submit":{"id":"j00000002","name":"torn"`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	j2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open with a torn tail: %v", err)
+	}
+	if st := j2.Stats(); st.Jobs != 1 || st.Incomplete != 1 {
+		t.Fatalf("stats with a torn tail = %+v, want 1 job", st)
+	}
+	id, err := j2.Begin(sub("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != "j00000002" {
+		t.Fatalf("Begin after a torn tail assigned %s, want j00000002", id)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte("torn")) || !bytes.HasSuffix(raw, []byte("\n")) {
+		t.Fatalf("torn tail not cut off:\n%s", raw)
+	}
+	entries, err := j2.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 || entries[1].Sub.Name != "b" {
+		t.Fatalf("replay after the cut = %+v", entries)
+	}
+}
+
+// TestTwoWritersShareLog: two journals on one directory (two processes)
+// catch up on each other's records before appending, so job IDs stay
+// unique and each one's counters include the other's jobs.
+func TestTwoWritersShareLog(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for i := 0; i < 3; i++ {
+		for _, j := range []*Journal{a, b} {
+			id, err := j.Begin(sub("x"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seen[id] {
+				t.Fatalf("job id %s assigned twice", id)
+			}
+			seen[id] = true
+			if err := j.End(id, StateDone, "", 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := a.Begin(sub("open")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Mark("j00000007", "seen by b"); err != nil {
+		t.Fatal(err)
+	}
+	if st := b.Stats(); st.Jobs != 7 || st.Incomplete != 1 {
+		t.Fatalf("b's stats = %+v, want 7 jobs / 1 incomplete", st)
+	}
+	e, ok, err := a.Lookup("j00000007")
+	if err != nil || !ok || e.Sub.Name != "open" || e.Mark == nil || e.Complete() {
+		t.Fatalf("Lookup(j00000007) = %+v, %v, %v", e, ok, err)
+	}
+}
+
+// TestEndOfUnknownJobRefused: a record that would make the log unreadable
+// (an end for a job never submitted, a malformed ID) is refused before it
+// reaches the file.
+func TestEndOfUnknownJobRefused(t *testing.T) {
+	j, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.End("j00000001", StateDone, "", 0); err == nil {
+		t.Fatal("End of a job never submitted was accepted")
+	}
+	if err := j.Mark("bogus", "x"); err == nil {
+		t.Fatal("Mark with a malformed id was accepted")
+	}
+	if _, err := Open(j.Dir()); err != nil {
+		t.Fatalf("reopen after refused records: %v", err)
+	}
+	if st := j.Stats(); st.Jobs != 0 || st.Bytes != 0 {
+		t.Fatalf("refused records left %+v", st)
+	}
+}
+
+// TestLegacySegmentsRefused: a directory from the earlier one-file-per-
+// record layout is reported, naming the directory, rather than read as an
+// empty journal that would silently drop its jobs.
+func TestLegacySegmentsRefused(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"00000001.submit.json", "00000001.end.json", "00000002.submit.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := Open(dir)
+	if !errors.Is(err, ErrLegacy) {
+		t.Fatalf("Open of a legacy directory = %v, want ErrLegacy", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, dir) || !strings.Contains(msg, "2 job(s)") || !strings.Contains(msg, "finish or discard") {
+		t.Errorf("legacy error does not name the directory, the job count and the remedy: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, LogName)); !os.IsNotExist(err) {
+		t.Errorf("Open of a legacy directory created %s (stat err %v)", LogName, err)
+	}
+}
+
+// FuzzJournalOpen feeds arbitrary log bytes to Open. It must count the
+// complete lines or return ErrCorrupt, never panic, and what it counted
+// must agree with Replay. Appends are left to the unit tests above: each
+// one fsyncs, which would stall the fuzzer's input minimization.
+func FuzzJournalOpen(f *testing.F) {
+	dir := f.TempDir()
+	j, err := Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	id1, _ := j.Begin(Submission{Name: "a", Conf: map[string]ConfValue{"k": {Kind: "int", Value: "1"}}})
+	id2, _ := j.Begin(Submission{Name: "b"})
+	j.End(id1, StateDone, "", 3)
+	j.Mark(id2, "interrupted")
+	j.End(id2, StateFailed, "x", 0)
+	log, err := os.ReadFile(filepath.Join(dir, LogName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(log)
+	f.Add(log[:len(log)-7])
+	f.Add([]byte(`{"submit":{"id":"j00000001"}}` + "\n" + `{"end":{"id":"j00000001"}}` + "\n"))
+	f.Add([]byte("\n\n{}"))
+
+	fuzzDir := f.TempDir()
+	f.Fuzz(func(t *testing.T, log []byte) {
+		if err := os.WriteFile(filepath.Join(fuzzDir, LogName), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := Open(fuzzDir)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open: untyped error %v", err)
+			}
+			return
+		}
+		entries, err := j.Replay()
+		if err != nil {
+			t.Fatalf("Replay after a clean Open: %v", err)
+		}
+		incomplete := 0
+		for i, e := range entries {
+			if e.Sub.ID != idFor(uint64(i+1)) {
+				t.Fatalf("entry %d has id %s", i, e.Sub.ID)
+			}
+			if !e.Complete() {
+				incomplete++
+			}
+		}
+		if st := j.Stats(); st.Jobs != len(entries) || st.Incomplete != incomplete || st.Bytes > int64(len(log)) {
+			t.Fatalf("stats %+v disagree with %d replayed entries (%d incomplete)", st, len(entries), incomplete)
+		}
+	})
 }

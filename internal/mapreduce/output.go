@@ -6,11 +6,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"manimal/internal/btree"
-	"manimal/internal/faultinject"
+	"manimal/internal/durable"
 	"manimal/internal/interp"
 	"manimal/internal/serde"
 	"manimal/internal/storage"
@@ -36,13 +35,11 @@ func abortOutput(o Output) {
 }
 
 // KVFileOutput writes the job's (key, value) pairs to a simple streaming
-// container: the default final-output format. Pairs stream into a temp
-// file that Close fsyncs and renames onto the final path, so a crashed
-// or canceled job never leaves a partial output where the caller's path
-// points.
+// container: the default final-output format. Pairs stream into an atomic
+// file that Close commits onto the final path, so a crashed or canceled
+// job never leaves a partial output where the caller's path points.
 type KVFileOutput struct {
-	f     *os.File
-	path  string // final destination; the temp file renames onto it in Close
+	f     *durable.File
 	w     *bufio.Writer
 	count uint64
 	buf   []byte // reused per-write encoding buffer
@@ -52,17 +49,16 @@ type KVFileOutput struct {
 // NewKVFileOutput creates a KV output file destined for path (committed
 // by Close).
 func NewKVFileOutput(path string) (*KVFileOutput, error) {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	f, err := durable.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: create output %s: %w", path, err)
 	}
 	w := bufio.NewWriterSize(f, 256<<10)
 	if _, err := w.WriteString(kvMagic); err != nil {
-		f.Close()
-		os.Remove(f.Name())
+		f.Abort()
 		return nil, err
 	}
-	return &KVFileOutput{f: f, path: path, w: w}, nil
+	return &KVFileOutput{f: f, w: w}, nil
 }
 
 // Write implements Output. The key and value are fully serialized before
@@ -84,12 +80,10 @@ func (o *KVFileOutput) Write(k serde.Datum, v interp.EmitValue) error {
 	return nil
 }
 
-// Close writes the trailer, then commits: fsync, rename onto the final
-// path, fsync the parent directory.
+// Close writes the trailer, then commits the file onto the final path.
 func (o *KVFileOutput) Close() error {
 	fail := func(err error) error {
-		o.f.Close()
-		os.Remove(o.f.Name())
+		o.f.Abort()
 		return err
 	}
 	var tr [8]byte
@@ -103,39 +97,12 @@ func (o *KVFileOutput) Close() error {
 	if err := o.w.Flush(); err != nil {
 		return fail(err)
 	}
-	if err := o.f.Sync(); err != nil {
-		return fail(err)
-	}
-	tmp := o.f.Name()
-	if err := o.f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := faultinject.Fail(faultinject.PointCrashRename, filepath.Base(o.path)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, o.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("mapreduce: commit output %s: %w", o.path, err)
-	}
-	if d, err := os.Open(filepath.Dir(o.path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return o.f.Commit()
 }
 
 // Abort implements Abortable: the partial temp file is removed; the final
 // path is never touched.
-func (o *KVFileOutput) Abort() error {
-	tmp := o.f.Name()
-	o.f.Close()
-	if err := os.Remove(tmp); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
-}
+func (o *KVFileOutput) Abort() error { return o.f.Abort() }
 
 // KVPair is one read-back output pair.
 type KVPair struct {

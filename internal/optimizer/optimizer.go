@@ -89,7 +89,7 @@ type Plan struct {
 	// the block-skip pushdown relaxed to the union of the subscribers'
 	// filters and each job's residual re-applied per batch. It is an
 	// execution strategy with identical output; the System sets it (it
-	// owns the registry), and MANIMAL_NOSHARE=1 disables it globally.
+	// owns the registry), unless its options disable sharing.
 	SharedScan bool
 	// Applied lists the optimizations in effect, e.g. ["selection",
 	// "projection"]. Empty for original scans.
@@ -401,23 +401,6 @@ func chooseRecordFile(desc *analyzer.Descriptor, schema *serde.Schema, entries [
 		}
 	}
 	return best, bestFields
-}
-
-// ScanSharingEnabled reports whether concurrent scans of the same input
-// range may share one physical scan (storage.ScanShare). On by default;
-// MANIMAL_NOSHARE=1 forces every scan private — the differential oracle
-// and the unshared benchmark baseline.
-func ScanSharingEnabled() bool {
-	v := os.Getenv("MANIMAL_NOSHARE")
-	return v == "" || v == "0"
-}
-
-// ResultCacheEnabled reports whether committed job outputs are registered
-// in (and re-submissions served from) the catalog's result cache. On by
-// default; MANIMAL_NOCACHE=1 disables both lookup and store.
-func ResultCacheEnabled() bool {
-	v := os.Getenv("MANIMAL_NOCACHE")
-	return v == "" || v == "0"
 }
 
 func containsString(xs []string, s string) bool {

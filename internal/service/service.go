@@ -740,9 +740,8 @@ func (s *Server) Stats() StatsInfo {
 		st.Counters = agg
 	}
 	if jnl := s.sys.Journal(); jnl != nil {
-		if js, err := jnl.Stats(); err == nil {
-			st.Journal = &js
-		}
+		js := jnl.Stats()
+		st.Journal = &js
 	}
 	return st
 }

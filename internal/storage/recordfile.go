@@ -95,10 +95,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"path/filepath"
 
 	"manimal/internal/compress"
+	"manimal/internal/durable"
 	"manimal/internal/faultinject"
 	"manimal/internal/serde"
 )
@@ -180,9 +180,8 @@ type WriterOptions struct {
 // fingerprints as valid, and concurrent task attempts writing the same
 // destination never collide (the first Close wins the rename).
 type Writer struct {
-	f         *os.File
+	f         *durable.File
 	path      string // final destination; the temp file renames onto it in Close
-	tmp       string // temp file actually being written
 	schema    *serde.Schema
 	encodings []FieldEncoding
 	deltas    []*compress.DeltaEncoder // per field, nil unless delta
@@ -199,7 +198,6 @@ type Writer struct {
 	crcs      []uint32     // per-block CRC32C over the full on-disk block bytes
 	records   int64
 	closed    bool
-	finished  bool // Close committed the file; Abort must not remove it
 }
 
 // NewWriter creates a record file destined for path, writing into a
@@ -207,19 +205,17 @@ type Writer struct {
 // into place. Any file already at path is untouched until then.
 // Construction errors remove only the temp file.
 func NewWriter(path string, schema *serde.Schema, opts WriterOptions) (*Writer, error) {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	f, err := durable.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: create %s: %w", path, err)
 	}
 	fail := func(err error) (*Writer, error) {
-		f.Close()
-		os.Remove(f.Name())
+		f.Abort()
 		return nil, err
 	}
 	w := &Writer{
 		f:         f,
 		path:      path,
-		tmp:       f.Name(),
 		schema:    schema,
 		encodings: make([]FieldEncoding, schema.NumFields()),
 		deltas:    make([]*compress.DeltaEncoder, schema.NumFields()),
@@ -407,8 +403,7 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	fail := func(err error) error {
-		w.f.Close()
-		os.Remove(w.tmp)
+		w.f.Abort()
 		return err
 	}
 	if err := w.flushBlock(); err != nil {
@@ -436,36 +431,7 @@ func (w *Writer) Close() error {
 	if _, err := w.f.Write(ftr); err != nil {
 		return fail(fmt.Errorf("storage: write footer: %w", err))
 	}
-	if err := w.f.Sync(); err != nil {
-		return fail(fmt.Errorf("storage: sync: %w", err))
-	}
-	if err := w.f.Close(); err != nil {
-		os.Remove(w.tmp)
-		return err
-	}
-	// Crash-before-rename injection point: the temp file is complete and
-	// durable, but the commit has not happened. The contract under test is
-	// that the final path is untouched.
-	if err := faultinject.Fail(faultinject.PointCrashRename, filepath.Base(w.path)); err != nil {
-		os.Remove(w.tmp)
-		return err
-	}
-	if err := os.Rename(w.tmp, w.path); err != nil {
-		os.Remove(w.tmp)
-		return fmt.Errorf("storage: commit %s: %w", w.path, err)
-	}
-	syncDir(filepath.Dir(w.path))
-	w.finished = true
-	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-// Best-effort on filesystems that reject directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
+	return w.f.Commit()
 }
 
 // Abort closes the writer and removes the partial temp file; used when
@@ -474,15 +440,8 @@ func syncDir(dir string) {
 // tolerant of the temp file already being gone (a failed Close removes
 // it).
 func (w *Writer) Abort() error {
-	if w.finished {
-		return nil
-	}
 	w.closed = true
-	w.f.Close()
-	if err := os.Remove(w.tmp); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
+	return w.f.Abort()
 }
 
 // Schema returns the writer's file schema.

@@ -66,6 +66,7 @@ import (
 
 	"manimal/internal/analyzer"
 	"manimal/internal/catalog"
+	"manimal/internal/durable"
 	"manimal/internal/fabric"
 	"manimal/internal/indexgen"
 	"manimal/internal/interp"
@@ -158,10 +159,9 @@ type System struct {
 	sched   *mapreduce.Scheduler
 	// share is the scan-sharing registry concurrently running jobs of this
 	// System use to ride one physical scan per input block range; nil when
-	// sharing is disabled (Options or MANIMAL_NOSHARE=1).
+	// sharing is disabled.
 	share *storage.ScanShare
-	// noCache disables the fingerprint-keyed result cache (Options or
-	// MANIMAL_NOCACHE=1).
+	// noCache disables the fingerprint-keyed result cache.
 	noCache bool
 	// jnl is the durable job journal (Options.Journal): every accepted
 	// submission is recorded before admission and its terminal state after,
@@ -182,9 +182,11 @@ type Options struct {
 	SchedulerSlots int
 	// DisableScanSharing turns off shared physical scans: every map task
 	// scans its input privately, as before multi-query optimization.
+	// MANIMAL_NOSHARE=1 in the environment sets it for every System.
 	DisableScanSharing bool
 	// DisableResultCache turns off the fingerprint-keyed result cache:
-	// identical re-submissions re-execute.
+	// identical re-submissions re-execute. MANIMAL_NOCACHE=1 in the
+	// environment sets it for every System.
 	DisableResultCache bool
 	// Journal enables the durable job journal in <dir>/journal: accepted
 	// submissions are recorded (program source, conf, inputs, output,
@@ -204,6 +206,8 @@ func NewSystem(dir string) (*System, error) {
 
 // NewSystemWith is NewSystem with explicit options.
 func NewSystemWith(dir string, opts Options) (*System, error) {
+	opts.DisableScanSharing = opts.DisableScanSharing || envSet("MANIMAL_NOSHARE")
+	opts.DisableResultCache = opts.DisableResultCache || envSet("MANIMAL_NOCACHE")
 	cat, err := catalog.Open(dir)
 	if err != nil {
 		return nil, err
@@ -217,7 +221,7 @@ func NewSystemWith(dir string, opts Options) (*System, error) {
 		sched = mapreduce.NewScheduler(opts.SchedulerSlots)
 	}
 	var share *storage.ScanShare
-	if !opts.DisableScanSharing && optimizer.ScanSharingEnabled() {
+	if !opts.DisableScanSharing {
 		share = storage.NewScanShare()
 	}
 	var jnl *journal.Journal
@@ -229,9 +233,16 @@ func NewSystemWith(dir string, opts Options) (*System, error) {
 	}
 	return &System{dir: dir, workDir: workDir, cat: cat, sched: sched,
 		share:       share,
-		noCache:     opts.DisableResultCache || !optimizer.ResultCacheEnabled(),
+		noCache:     opts.DisableResultCache,
 		jnl:         jnl,
 		liveOutputs: make(map[string]string)}, nil
+}
+
+// envSet reports whether the kill switch name is set in the environment
+// to anything but "" or "0".
+func envSet(name string) bool {
+	v := os.Getenv(name)
+	return v != "" && v != "0"
 }
 
 // Journal exposes the durable job journal, or nil when Options.Journal
@@ -927,37 +938,24 @@ func (s *System) EvictResultCache(staleOnly bool) ([]CatalogEntry, error) {
 	return evicted, err
 }
 
-// copyFile copies src over dst through a temp file in dst's directory,
-// renamed into place so readers never observe a partial copy.
+// copyFile atomically replaces dst with a copy of src, so readers never
+// observe a partial copy and a crash never loses a copy already reported
+// done.
 func copyFile(src, dst string) error {
 	in, err := os.Open(src)
 	if err != nil {
 		return err
 	}
 	defer in.Close()
-	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".tmp-*")
+	out, err := durable.Create(dst)
 	if err != nil {
 		return err
 	}
-	if _, err := io.Copy(tmp, in); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	if _, err := io.Copy(out, in); err != nil {
+		out.Abort()
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return out.Commit()
 }
 
 // Submit analyzes, optimizes, and executes a job to completion: the thin

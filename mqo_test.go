@@ -12,6 +12,7 @@ import (
 
 	"manimal"
 	"manimal/internal/catalog"
+	"manimal/internal/faultinject"
 	"manimal/internal/mapreduce"
 	"manimal/internal/workload"
 )
@@ -438,6 +439,107 @@ func TestResultCacheEviction(t *testing.T) {
 	}
 	if n := len(cacheEntries()); n != 0 {
 		t.Errorf("cache entries after full eviction = %d, want 0", n)
+	}
+}
+
+// TestResultCacheCommitCrash: result-cache artifacts commit through the
+// same atomic path as every other file. A crash injected before the
+// rename of a store leaves the job successful with nothing cached (no
+// artifact, no catalog entry, no temp file); on a hit, it leaves the
+// output path as it was.
+func TestResultCacheCommitCrash(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "webpages.rec")
+	if err := workload.NewGen(47).WriteWebPages(data, 3000, 64); err != nil {
+		t.Fatal(err)
+	}
+	prog := mustProgram(t, "count", countProgram)
+	spec := func(out string) manimal.JobSpec {
+		s := mqoSpec(prog, data, "job", out, 500)
+		s.StartupDelay = 0
+		return s
+	}
+	cached := func(sys *manimal.System) []catalog.Entry {
+		var out []catalog.Entry
+		for _, e := range sys.Catalog().All() {
+			if e.Kind == catalog.KindResultCache {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+
+	// An undisturbed system caches the result and tells the key.
+	warm, err := manimal.NewSystem(filepath.Join(dir, "warm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Submit(spec(filepath.Join(dir, "warm.kv"))); err != nil {
+		t.Fatal(err)
+	}
+	entries := cached(warm)
+	if len(entries) != 1 {
+		t.Fatalf("cache entries = %d, want 1", len(entries))
+	}
+	key := entries[0].CacheKey
+	want, err := os.ReadFile(filepath.Join(dir, "warm.kv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	faultinject.Set(faultinject.MustParse("crash=1@" + key + ".kv;seed=1"))
+	defer faultinject.Reset()
+
+	// Store: the job's own output commits; the cache copy does not.
+	coldDir := filepath.Join(dir, "cold")
+	cold, err := manimal.NewSystem(coldDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "cold.kv")
+	if _, err := cold.Submit(spec(out)); err != nil {
+		t.Fatalf("job failed on a crashed cache store: %v", err)
+	}
+	if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("job output after a crashed cache store: %d bytes, %v", len(got), err)
+	}
+	if _, err := os.Stat(filepath.Join(coldDir, "cache", key+".kv")); !os.IsNotExist(err) {
+		t.Errorf("crashed store left an artifact (stat err %v)", err)
+	}
+	if n := len(cached(cold)); n != 0 {
+		t.Errorf("crashed store left %d catalog entries", n)
+	}
+	if reopened, err := catalog.Open(coldDir); err != nil {
+		t.Error(err)
+	} else if n := len(reopened.All()); n != 0 {
+		t.Errorf("reopened catalog after a crashed store holds %d entries", n)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(coldDir, "cache", "*.tmp-*")); len(tmps) != 0 {
+		t.Errorf("crashed store left temp files: %v", tmps)
+	}
+
+	// Hit: the copy to an output path the rule covers crashes, and so
+	// does the execution the hit falls back to; the old file stays.
+	hitDir := filepath.Join(dir, "hit")
+	if err := os.Mkdir(hitDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	hitOut := filepath.Join(hitDir, key+".kv")
+	old := []byte("previous output")
+	if err := os.WriteFile(hitOut, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Submit(spec(hitOut)); err == nil {
+		t.Error("job succeeded although every commit of its output crashed")
+	}
+	if got, err := os.ReadFile(hitOut); err != nil || !bytes.Equal(got, old) {
+		t.Errorf("output path after a crashed hit holds %d bytes (%v); want it untouched", len(got), err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(hitDir, "*.tmp-*")); len(tmps) != 0 {
+		t.Errorf("crashed hit left temp files: %v", tmps)
+	}
+	if n := len(cached(warm)); n != 1 {
+		t.Errorf("cache entries after a crashed hit = %d, want 1", n)
 	}
 }
 
