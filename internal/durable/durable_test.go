@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 
 	"manimal/internal/faultinject"
@@ -231,5 +232,46 @@ func TestLogConcurrentWriters(t *testing.T) {
 	}
 	if size, _ := r.Size(); size != r.End() || !bytes.HasSuffix([]byte(read(t, path)), []byte("\n")) {
 		t.Fatalf("log size %d, End %d", size, r.End())
+	}
+}
+
+// TestLogFailedAppendLeavesNoRecord: an append whose write fails part-way
+// (here at a file-size limit) is truncated away, so the refused record is
+// never read, and the next append lands where it would have.
+func TestLogFailedAppendLeavesNoRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.log")
+	l, err := AppendLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	scanAll(t, l)
+	if err := l.Append([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	var old syscall.Rlimit
+	if err := syscall.Getrlimit(syscall.RLIMIT_FSIZE, &old); err != nil {
+		t.Skip(err)
+	}
+	low := old
+	low.Cur = 8
+	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &low); err != nil {
+		t.Skip(err)
+	}
+	err = l.Append([]byte("0123456789"))
+	if rerr := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &old); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if err == nil {
+		t.Fatal("append past the file-size limit succeeded")
+	}
+	if got := read(t, path); got != "a\n" || l.End() != 2 {
+		t.Fatalf("after a failed append the log holds %q, End %d", got, l.End())
+	}
+	if err := l.Append([]byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(t, path); got != "a\nb\n" {
+		t.Fatalf("append after a failed one: %q", got)
 	}
 }
