@@ -246,13 +246,19 @@ func Open(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, "*.submit.json"))
+	des, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	if len(segs) > 0 {
+	legacy := 0
+	for _, de := range des {
+		if strings.HasSuffix(de.Name(), ".submit.json") {
+			legacy++
+		}
+	}
+	if legacy > 0 {
 		return nil, fmt.Errorf("%w: %s holds %d job(s) as *.submit.json files; finish or discard those jobs "+
-			"first, with the release that wrote them", ErrLegacy, dir, len(segs))
+			"first, with the release that wrote them", ErrLegacy, dir, legacy)
 	}
 	j := &Journal{dir: dir, path: filepath.Join(dir, LogName)}
 	l, err := durable.ReadLog(j.path)
